@@ -274,40 +274,37 @@ def read_experiment_report(path):
     records: list[ReplicationRecord] = []
     saw_header = False
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("spec "):
-                    spec_text = body[5:]
-                elif body.startswith("agg "):
-                    name, mean_part, sd_part = body[4:].split()
-                    aggregates[name] = (
-                        float(mean_part.split("=", 1)[1]),
-                        float(sd_part.split("=", 1)[1]),
-                    )
-                elif body.startswith("k0 ") and k0 is None:
-                    k0 = int(body[3:])
-                continue
-            if not saw_header:
+            if not line.startswith("#") and not saw_header:
                 if line != RECORD_HEADER:
-                    raise DataFormatError(f"{path}: unexpected record header {line!r}")
+                    raise DataFormatError(f"{path}:{lineno}: unexpected record header {line!r}")
                 saw_header = True
                 continue
-            f = line.split(",")
-            records.append(
-                ReplicationRecord(
-                    rep=int(f[0]),
-                    k_hat=int(f[1]),
-                    k1=int(f[2]),
-                    loss_k_hat=float(f[3]),
-                    loss_k0=float(f[4]),
-                    loss_k1=float(f[5]),
-                    loss_sample=float(f[6]),
+            try:
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if body.startswith("spec "):
+                        spec_text = body[5:]
+                    elif body.startswith("agg "):
+                        name, mean_part, sd_part = body[4:].split()
+                        aggregates[name] = (
+                            float(mean_part.split("=", 1)[1]),
+                            float(sd_part.split("=", 1)[1]),
+                        )
+                    elif body.startswith("k0 ") and k0 is None:
+                        k0 = int(body[3:])
+                    continue
+                f = line.split(",")
+                if len(f) != 7:
+                    raise ValueError(f"expected 7 fields, got {len(f)}")
+                records.append(
+                    ReplicationRecord(int(f[0]), int(f[1]), int(f[2]), *map(float, f[3:]))
                 )
-            )
+            except (ValueError, IndexError) as exc:
+                raise DataFormatError(f"{path}:{lineno}: malformed line {line!r} ({exc})") from None
     if spec_text is None or k0 is None or not saw_header:
         raise DataFormatError(f"{path}: not a covband simulation report")
     return spec_text, k0, aggregates, records

@@ -16,7 +16,8 @@ predict
 Exit codes: 0 on success, 1 on usage errors (bad flags/combinations),
 2 on data or estimation errors (unreadable files, non-PD matrices, ...).
 Every subcommand that consumes randomness takes an explicit ``--seed``;
-given identical flags and seed, output files are byte-identical.
+given identical flags and seed, output files are byte-identical on the same
+machine with the same BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -305,6 +306,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but an estimation failure
+        print(f"covband: linear algebra failure: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"covband: {exc}", file=sys.stderr)
         return 1

@@ -19,10 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .errors import BandwidthTooLarge, DataFormatError, SingularDesign
-from .matcore import PD_PIVOT_RTOL, TaperSpec, band, schur_product, symmetrize, taper_weights
+from .errors import BandwidthTooLarge, NotPositiveDefinite, SingularDesign
+from .matcore import (
+    TaperSpec,
+    band,
+    cholesky_factor,
+    load_numeric_csv,
+    require_symmetric,
+    schur_product,
+    symmetrize,
+    taper_weights,
+)
 
 
 def as_data_matrix(X, name: str = "data") -> np.ndarray:
@@ -109,31 +117,44 @@ def fit_banded_cholesky(X, k: int) -> BandedCholeskyFactors:
     the residual variance is the Schur complement.  Requires k <= n - 2 so
     the largest regression stays nondegenerate.
     """
-    A = as_data_matrix(X)
-    n = A.shape[0]
+    X = as_data_matrix(X)
+    n, p = X.shape
     k = int(k)
     if k < 0:
         raise ValueError("bandwidth k must be >= 0")
     if k > n - 2:
         raise BandwidthTooLarge(f"bandwidth k={k} needs n >= k + 2 observations, got n={n}")
-    S = sample_covariance(A)
-    coef, resid = _banded_regressions(S, [k])[k]
-    return BandedCholeskyFactors(k=k, A=coef, D=resid)
+    coef, D = _band_regressions(sample_covariance(X), [k])
+    rows, i = np.nonzero(coef[0])
+    A = np.zeros((p, p))
+    A[rows, rows - 1 - i] = coef[0, rows, i]
+    return BandedCholeskyFactors(k=k, A=A, D=D[0])
+
+
+def cholesky_covariance_path(S, ks) -> np.ndarray:
+    """Covariance estimates of the bandwidth-k Cholesky fit, for every k in ks.
+
+    ``S`` is the sample covariance the regressions are solved from (as in
+    :func:`fit_banded_cholesky`); returns the (len(ks), p, p) stack of the
+    implied covariances.  Raises SingularDesign like the single fit.
+    """
+    return _covariance_from_band(*_band_regressions(require_symmetric(S, "S"), ks))
 
 
 def factors_to_matrices(f: BandedCholeskyFactors) -> tuple[np.ndarray, np.ndarray]:
     """(precision, covariance) implied by fitted factors.
 
     precision = (I - A)' diag(1/D) (I - A), which is k-banded and positive
-    definite; covariance is its inverse, computed via triangular solves on
-    the unit lower triangular I - A (never an explicit matrix inverse).
+    definite; covariance is its inverse, built row by row from the band
+    (never an explicit matrix inverse).
     """
     p = f.dim
     W = np.eye(p) - f.A
     precision = symmetrize(W.T @ (W / f.D[:, None]))
-    Winv = solve_triangular(W, np.eye(p), lower=True, unit_diagonal=True)
-    covariance = symmetrize((Winv * f.D[None, :]) @ Winv.T)
-    return precision, covariance
+    j = np.arange(p)[:, None]
+    pred = j - 1 - np.arange(min(f.k, p - 1))[None, :]  # nearest first
+    coef = np.where(pred >= 0, f.A[j, pred], 0.0)
+    return precision, _covariance_from_band(coef[None], f.D[None])[0]
 
 
 def cholesky_banded_covariance(X, k: int) -> np.ndarray:
@@ -143,13 +164,7 @@ def cholesky_banded_covariance(X, k: int) -> np.ndarray:
 
 def load_data_csv(path) -> np.ndarray:
     """Read an (n, p) data matrix from CSV (no header, comma separated)."""
-    try:
-        A = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
-    if not np.all(np.isfinite(A)):
-        raise DataFormatError(f"{path}: non-finite entries")
-    return A
+    return load_numeric_csv(path)
 
 
 def save_data_csv(path, X) -> None:
@@ -158,125 +173,81 @@ def save_data_csv(path, X) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Internal machinery shared with the selection module.
+# Cholesky-banding machinery.
 #
-# All bandwidths of a grid reuse the same per-size regression solves: the
-# regression of column j for bandwidth k only depends on m = min(k, j - 1),
-# so solves are batched by m across columns and assembled per k.
+# Band coefficients are stored nearest first: coef[..., j, i] is the
+# coefficient of coordinate j on its predecessor j - 1 - i, so a
+# bandwidth-m regression fills the leading m entries of its row.
 # ---------------------------------------------------------------------------
 
 
-def _banded_regressions(S, ks) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Fit the banded regressions implied by covariance ``S`` for every k in ks.
+def _band_regressions(S, ks) -> tuple[np.ndarray, np.ndarray]:
+    """Band coefficients (len(ks), p, K) and residual variances (len(ks), p)
+    of the bandwidth-k regressions implied by covariance S, for k in ks.
 
-    Returns {k: (A_k, D_k)} with A_k the strictly-lower coefficient matrix
-    and D_k the vector of residual variances.  Raises SingularDesign when
-    any regressor Gram block fails the Cholesky pivot test or a residual
-    variance is not positive.
+    Each column's Gram block G of its K = max(ks) nearest predecessors,
+    nearest first, is factored once as G = L L'.  The leading m x m block
+    of L is the factor of the m-nearest Gram block, so with y = inv(L) c
+    (c the covariances of the column with those predecessors) the size-m
+    residual variance is S_jj - sum(y[:m]**2) and the coefficients are
+    inv(L[:m, :m])' y[:m]: one factorization per column serves every
+    bandwidth.  Columns with fewer than K predecessors are padded with a
+    scaled identity, which changes neither their regressions nor their
+    pivot tolerance.  Raises SingularDesign when a Gram block fails the
+    Cholesky test or a residual variance is not positive.
     """
     p = S.shape[0]
-    ks = sorted({int(k) for k in ks})
-    if ks[0] < 0:
+    ks = np.asarray(ks, dtype=int)
+    if ks.min() < 0:
         raise ValueError("bandwidths must be >= 0")
-    kmax = min(ks[-1], p - 1)
-    ks_set = set(ks)
-
-    # coef[m] -> (columns j0 solved at size m, coefficient block, resid vars)
-    solved: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for m in range(1, kmax + 1):
-        if m in ks_set:
-            cols = np.arange(m, p)
-        elif m < p:
-            cols = np.array([m])  # column m uses all m predecessors for any k >= m
-        else:
-            continue
-        coefs, resid = _batched_band_solve(S, cols, m)
-        solved[m] = (cols, coefs, resid)
-
-    diag = np.diag(S).copy()
-    out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for k in ks:
-        A = np.zeros((p, p))
-        D = diag.copy()  # m = 0 columns keep their sample variance
-        for m in range(1, min(k, p - 1) + 1):
-            cols, coefs, resid = solved[m]
-            if m < k:
-                cols, coefs, resid = cols[:1], coefs[:1], resid[:1]  # only column j0 = m
-            rows = cols[:, None]
-            regressors = cols[:, None] - m + np.arange(m)[None, :]
-            A[rows, regressors] = coefs
-            D[cols] = resid
-        _require_positive_resid(D)
-        out[k] = (A, D)
-    return out
-
-
-def _batched_band_solve(S, cols, m):
-    """Normal-equation solves of columns ``cols`` on their m nearest predecessors.
-
-    Gram blocks are contiguous m x m submatrices of S ending just before
-    each column; solved by a batched Cholesky with the package-wide pivot
-    tolerance.
-    """
-    start = cols - m
-    idx = start[:, None] + np.arange(m)[None, :]  # (B, m) regressor indices
-    G = S[idx[:, :, None], idx[:, None, :]]
-    c = S[idx, cols[:, None]]
-    L = _batched_cholesky(G)
-    coefs = _batched_chol_solve(L, c)
-    resid = S[cols, cols] - np.einsum("bi,bi->b", c, coefs)
-    return coefs, resid
-
-
-def _batched_cholesky(G):
-    """Cholesky factors of a (B, m, m) stack, with the relative pivot test
-    of :func:`covband.matcore.cholesky_factor` applied per block."""
-    B, m, _ = G.shape
-    diag = G[:, np.arange(m), np.arange(m)]
-    max_diag = diag.max(axis=1)
-    if np.any(max_diag <= 0):
-        raise SingularDesign("regressor block has no positive diagonal entry")
-    tol = PD_PIVOT_RTOL * max_diag
-    L = np.zeros_like(G)
-    for j in range(m):
-        pivot = G[:, j, j] - np.einsum("bi,bi->b", L[:, j, :j], L[:, j, :j])
-        if np.any(pivot < tol):
-            bad = int(np.argmax(pivot < tol))
-            raise SingularDesign(
-                f"regressor Gram block {bad} failed the Cholesky pivot test at column {j}"
-            )
-        L[:, j, j] = np.sqrt(pivot)
-        if j + 1 < m:
-            L[:, j + 1 :, j] = (
-                G[:, j + 1 :, j] - np.einsum("bki,bi->bk", L[:, j + 1 :, :j], L[:, j, :j])
-            ) / L[:, j, j][:, None]
-    return L
-
-
-def _batched_chol_solve(L, c):
-    """Solve L L' a = c for each block of a (B, m, m) Cholesky stack."""
-    m = L.shape[1]
-    y = np.zeros_like(c)
-    for i in range(m):
-        y[:, i] = (c[:, i] - np.einsum("bi,bi->b", L[:, i, :i], y[:, :i])) / L[:, i, i]
-    a = np.zeros_like(c)
-    for i in range(m - 1, -1, -1):
-        a[:, i] = (y[:, i] - np.einsum("bi,bi->b", L[:, i + 1 :, i], a[:, i + 1 :])) / L[:, i, i]
-    return a
-
-
-def _require_positive_resid(D):
-    if not np.all(D > 0):
-        bad = int(np.argmin(D))
+    K = min(int(ks.max()), p - 1)
+    s_diag = np.diag(S)
+    if K == 0:
+        return np.zeros((ks.size, p, 0)), np.tile(s_diag, (ks.size, 1))
+    j = np.arange(p)[:, None]
+    pred = j - np.arange(1, K + 1)[None, :]
+    real = pred >= 0
+    pred = np.where(real, pred, 0)
+    G = np.where(real[:, :, None] & real[:, None, :], S[pred[:, :, None], pred[:, None, :]], 0.0)
+    pad = np.max(np.where(real, s_diag[pred], 0.0), axis=1, initial=0.0)
+    pad[0] = 1.0  # the first column has no predecessors at all
+    G[:, np.arange(K), np.arange(K)] += np.where(real, 0.0, pad[:, None])
+    c = np.where(real, S[pred, j], 0.0)
+    try:
+        L = cholesky_factor(G)
+    except NotPositiveDefinite as exc:
+        raise SingularDesign(f"regressor Gram block failed the Cholesky test: {exc}") from None
+    Linv = np.tril(np.linalg.inv(L))
+    y = np.where(real, np.einsum("jlm,jm->jl", Linv, c), 0.0)  # padding stays exactly 0
+    # row m of resid and of coef holds the size-m regressions, m = 0..K
+    resid = s_diag[:, None] - np.cumsum(np.pad(y * y, ((0, 0), (1, 0))), axis=1)
+    coef = np.cumsum(np.pad(Linv * y[:, :, None], ((0, 0), (1, 0), (0, 0))), axis=1)
+    if not np.all(resid[:, K] > 0):  # resid is nonincreasing in m
+        bad = int(np.argmin(resid[:, K]))
         raise SingularDesign(
             f"residual variance of coordinate {bad + 1} is not positive "
             "(exactly collinear columns)"
         )
+    m = np.minimum(ks, K)
+    return coef[:, m, :].transpose(1, 0, 2), resid[:, m].T
 
 
-def _covariance_from_factors(A, D) -> np.ndarray:
-    """Sigma implied by coefficient matrix A and residual variances D."""
-    p = A.shape[0]
-    W = np.eye(p) - A
-    Winv = solve_triangular(W, np.eye(p), lower=True, unit_diagonal=True)
-    return symmetrize((Winv * D[None, :]) @ Winv.T)
+def _covariance_from_band(coef, D) -> np.ndarray:
+    """inv(I - A) diag(D) inv(I - A)' for stacks of band coefficients
+    (..., p, K) and residual variances (..., p).
+
+    Built row by row from x_j = sum_l A[j, l] x_l + e_j: for i < j,
+    Sigma[j, i] = sum_l A[j, l] Sigma[l, i], and Sigma[j, j] adds D[j].
+    That costs O(p^2 K) per matrix, against O(p^3) for a triangular inverse.
+    """
+    *batch, p, K = coef.shape
+    Sigma = np.zeros((*batch, p, p))
+    farthest_first = np.ascontiguousarray(coef[..., ::-1])
+    for j in range(p):
+        m = min(j, K)
+        a = farthest_first[..., j, K - m :]
+        row = np.einsum("...i,...ij->...j", a, Sigma[..., j - m : j, :j])
+        Sigma[..., j, :j] = row
+        Sigma[..., :j, j] = row
+        Sigma[..., j, j] = D[..., j] + np.einsum("...i,...i->...", a, row[..., j - m : j])
+    return Sigma

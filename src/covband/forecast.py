@@ -15,7 +15,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DataFormatError, NotPositiveDefinite, SingularBlock
 from .matcore import cholesky_factor, require_symmetric
@@ -68,10 +67,7 @@ def predict_second_half(pm: PartitionedMoments, x1) -> np.ndarray:
     x1 = np.asarray(x1, dtype=float)
     if x1.shape != pm.mu1.shape:
         raise ValueError(f"x1 must have length {pm.mu1.size}, got shape {x1.shape}")
-    L = _factor_block(pm.S11)
-    w = solve_triangular(L, x1 - pm.mu1, lower=True)
-    w = solve_triangular(L.T, w, lower=False)
-    return pm.mu2 + pm.S21 @ w
+    return pm.mu2 + pm.S21 @ _solve_block(pm.S11, x1 - pm.mu1)
 
 
 def conditional_coefficients(pm: PartitionedMoments) -> np.ndarray:
@@ -80,10 +76,7 @@ def conditional_coefficients(pm: PartitionedMoments) -> np.ndarray:
     Computed by Cholesky solves against S12; useful for predicting many
     vectors with one factorization.  Satisfies B @ S11 = S21.
     """
-    L = _factor_block(pm.S11)
-    Y = solve_triangular(L, pm.S12, lower=True)
-    Y = solve_triangular(L.T, Y, lower=False)
-    return Y.T
+    return _solve_block(pm.S11, pm.S12).T
 
 
 def forecast_error(predictions, actuals) -> np.ndarray:
@@ -159,12 +152,14 @@ def write_forecast_report(path, errors, start_index: int = 1) -> None:
             fh.write(f"{start_index + i},{float(e)!r}\n")
 
 
-def _factor_block(S11) -> np.ndarray:
+def _solve_block(S11, B) -> np.ndarray:
+    """inv(S11) B through the Cholesky factor L of S11: solve L Y = B, then L' X = Y."""
     try:
-        return cholesky_factor(S11)
+        L = cholesky_factor(S11)
     except NotPositiveDefinite as exc:
         raise SingularBlock(
             "conditioning block S11 is not positive definite; "
             "plug in a regularized covariance estimate (banded, tapered, or "
             "Cholesky-banded) instead of the raw sample covariance"
         ) from exc
+    return np.linalg.solve(L.T, np.linalg.solve(L, B))

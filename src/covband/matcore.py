@@ -13,7 +13,7 @@ constructor in this package enforces that bit-level symmetry (by averaging
 
 from __future__ import annotations
 
-import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,19 +32,21 @@ TAPER_FAMILIES = ("banding-indicator", "triangular", "exponential")
 NORMS = ("operator", "one_one", "max_abs", "frobenius")
 
 
-def require_symmetric(M, name: str = "matrix") -> np.ndarray:
+def require_symmetric(M, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
     """Validate that ``M`` is a finite, exactly symmetric square array.
 
-    Returns the validated array as float64 without copying when possible.
+    With ``stack=True`` a stack of shape (..., p, p) is accepted and every
+    matrix in it is checked.  Returns the validated array as float64 without
+    copying when possible.
     """
     A = np.asarray(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or (A.ndim > 2 and not stack) or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
-    if A.shape[0] < 1:
+    if A.shape[-1] < 1:
         raise ValueError(f"{name} must have dimension >= 1")
     if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} has non-finite entries")
-    if not np.array_equal(A, A.T):
+    if not np.array_equal(A, np.swapaxes(A, -1, -2)):
         raise ValueError(f"{name} is not symmetric")
     return A
 
@@ -197,27 +199,30 @@ def sym_eigen(M) -> EigenDecomposition:
 def cholesky_factor(M) -> np.ndarray:
     """Lower-triangular L with ``M = L @ L.T`` and strictly positive diagonal.
 
-    Raises :class:`NotPositiveDefinite` when any pivot drops below
-    ``PD_PIVOT_RTOL * max(diag(M))``; Cholesky success is this package's
-    positive-definiteness test.
+    ``M`` is one symmetric matrix or a stack (..., p, p) of them, factored
+    by LAPACK in one call.  Raises :class:`NotPositiveDefinite` when LAPACK
+    breaks down or any pivot ``L[j, j]**2`` drops below
+    ``PD_PIVOT_RTOL * max(diag)`` of its own matrix; Cholesky success is
+    this package's positive-definiteness test.
     """
-    A = require_symmetric(M)
-    p = A.shape[0]
-    diag = np.diag(A)
-    max_diag = float(np.max(diag))
-    if max_diag <= 0.0:
+    A = require_symmetric(M, stack=True)
+    max_diag = np.diagonal(A, axis1=-2, axis2=-1).max(axis=-1)
+    if np.any(max_diag <= 0.0):
         raise NotPositiveDefinite("matrix has no positive diagonal entry")
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("matrix is not positive definite (Cholesky breakdown)") from None
     tol = PD_PIVOT_RTOL * max_diag
-    L = np.zeros_like(A)
-    for j in range(p):
-        pivot = A[j, j] - L[j, :j] @ L[j, :j]
-        if pivot < tol:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at column {j} below tolerance {tol:.3e}"
-            )
-        L[j, j] = math.sqrt(pivot)
-        if j + 1 < p:
-            L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    pivots = np.diagonal(L, axis1=-2, axis2=-1) ** 2
+    low = pivots < tol[..., None]
+    if np.any(low):
+        *block, j = np.argwhere(low)[0]
+        where = f"matrix {tuple(int(b) for b in block)}, " if block else ""
+        raise NotPositiveDefinite(
+            f"pivot {pivots[tuple(block) + (j,)]:.3e} at {where}column {j} "
+            f"below tolerance {tol[tuple(block)]:.3e}"
+        )
     return L
 
 
@@ -230,6 +235,25 @@ def is_positive_definite(M) -> bool:
     return True
 
 
+def load_numeric_csv(path) -> np.ndarray:
+    """Read a nonempty, finite 2-D array from a headerless CSV.
+
+    Anything else (an empty file, a non-numeric field, ragged rows,
+    non-finite values) raises :class:`DataFormatError` naming the file.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # empty input; reported below
+        try:
+            A = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
+    if A.size == 0:
+        raise DataFormatError(f"{path}: no data rows")
+    if not np.all(np.isfinite(A)):
+        raise DataFormatError(f"{path}: non-finite entries")
+    return A
+
+
 def load_matrix_csv(path) -> np.ndarray:
     """Read a symmetric matrix from CSV (p rows of p fields, no header).
 
@@ -237,16 +261,11 @@ def load_matrix_csv(path) -> np.ndarray:
     the result is then symmetrized by averaging, so downstream code sees
     exact symmetry.
     """
-    try:
-        A = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+    A = load_numeric_csv(path)
     if A.shape[0] != A.shape[1]:
         raise DataFormatError(
             f"{path}: expected a square matrix, got shape {A.shape}"
         )
-    if not np.all(np.isfinite(A)):
-        raise DataFormatError(f"{path}: non-finite entries")
     if np.max(np.abs(A - A.T)) > CSV_SYMMETRY_ATOL:
         raise DataFormatError(
             f"{path}: matrix is asymmetric beyond tolerance {CSV_SYMMETRY_ATOL}"

@@ -22,9 +22,8 @@ import numpy as np
 
 from .errors import BandwidthTooLarge, DataFormatError, InsufficientData
 from .estimators import (
-    _banded_regressions,
-    _covariance_from_factors,
     as_data_matrix,
+    cholesky_covariance_path,
     sample_covariance,
 )
 from .matcore import band, matrix_norm
@@ -256,23 +255,26 @@ def write_risk_curve(path, curve: RiskCurve, k_hat: int | None = None) -> None:
 
 
 def read_risk_curve(path) -> tuple[np.ndarray, np.ndarray, int | None]:
-    """Parse a risk-curve CSV back into (k_grid, risk, k_hat or None)."""
+    """Parse a risk-curve CSV back into (k_grid, risk, k_hat or None).
+
+    A malformed line raises :class:`DataFormatError` naming the file and line.
+    """
     ks, rs, k_hat = [], [], None
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "k,risk":
             raise DataFormatError(f"{path}: expected header 'k,risk', got {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "k_hat=" in line:
+            try:
+                if line.startswith("#") and "k_hat=" in line:
                     k_hat = int(line.split("k_hat=")[1])
-                continue
-            k, r = line.split(",")
-            ks.append(int(k))
-            rs.append(float(r))
+                elif line and not line.startswith("#"):
+                    k, r = line.split(",")
+                    ks.append(int(k))
+                    rs.append(float(r))
+            except ValueError:
+                raise DataFormatError(f"{path}:{lineno}: malformed line {line!r}") from None
     return np.asarray(ks, dtype=int), np.asarray(rs, dtype=float), k_hat
 
 
@@ -290,11 +292,9 @@ def _split_loss_curve(S_fit, target, ks, estimator_kind, norm) -> np.ndarray:
         return np.array(
             [matrix_norm(band(S_fit, int(k)) - target, "operator") for k in ks]
         )
-    table = _banded_regressions(S_fit, ks)
     out = np.empty(len(ks))
-    for i, k in enumerate(ks):
-        A, D = table[int(k)]
-        diff = _covariance_from_factors(A, D) - target
+    for i, Sigma in enumerate(cholesky_covariance_path(S_fit, ks)):
+        diff = Sigma - target
         if norm == "one_one":
             out[i] = np.max(np.sum(np.abs(diff), axis=0))
         else:

@@ -13,6 +13,7 @@ from covband.bench import (
     write_experiment_report,
     write_ratio_table,
 )
+from covband.errors import DataFormatError
 from covband.matcore import TaperSpec
 from covband.simgen import CovarianceModel, build_covariance, parse_model, sample_gaussian
 
@@ -161,6 +162,18 @@ def test_report_emission_is_byte_identical(tmp_path):
     write_experiment_report(p1, run_simulation_experiment(spec))
     write_experiment_report(p2, run_simulation_experiment(spec))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("cut", ["last_field", "last_record_half"])
+def test_report_parser_names_line_of_truncated_record(tmp_path, cut):
+    path = tmp_path / "report.csv"
+    write_experiment_report(path, run_simulation_experiment(small_spec()))
+    lines = path.read_text().splitlines()
+    last = lines[-1]
+    lines[-1] = last.rsplit(",", 1)[0] if cut == "last_field" else last[: len(last) // 2]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match=f"report.csv:{len(lines)}: malformed line"):
+        read_experiment_report(path)
 
 
 def test_report_parser_rejects_other_files(tmp_path):

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import covband
 from covband.bench import parse_spec, read_experiment_report
 from covband.cli import main, parse_taper
 from covband.estimators import load_data_csv, sample_covariance
@@ -62,6 +68,46 @@ def test_estimation_failures_are_data_errors(tmp_path, capsys):
     code = run("estimate", "--data", str(data), "--estimator", "cholesky",
                "--k", "8", "--out", str(tmp_path / "o.csv"))
     assert code == 2  # bandwidth exceeds what n = 6 rows can support
+
+
+def test_linear_algebra_failures_are_data_errors(tmp_path, monkeypatch, capsys):
+    # LinAlgError subclasses ValueError, which would otherwise mean exit 1
+    def fail(X):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr("covband.cli.sample_covariance", fail)
+    data = tmp_path / "d.csv"
+    np.savetxt(data, np.random.default_rng(2).standard_normal((10, 3)), delimiter=",")
+    code = run("estimate", "--data", str(data), "--estimator", "sample",
+               "--out", str(tmp_path / "o.csv"))
+    assert code == 2
+    assert "Singular matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "select"])
+@pytest.mark.parametrize("content", ["", "\n\n"])
+def test_empty_data_file_is_a_data_error(tmp_path, capsys, command, content):
+    data = tmp_path / "empty.csv"
+    data.write_text(content)
+    out = str(tmp_path / "o.csv")
+    if command == "estimate":
+        argv = ("estimate", "--data", str(data), "--estimator", "sample", "--out", out)
+    else:
+        argv = ("select", "--data", str(data), "--seed", "0", "--out", out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(*argv)
+    assert code == 2
+    assert "no data rows" in capsys.readouterr().err
+
+
+def test_importing_the_package_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(covband.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, covband.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from covband.estimators import (
     BandedCholeskyFactors,
     banded_covariance,
     cholesky_banded_covariance,
+    cholesky_covariance_path,
     factors_to_matrices,
     fit_banded_cholesky,
     load_data_csv,
@@ -15,6 +16,7 @@ from covband.estimators import (
     tapered_covariance,
 )
 from covband.matcore import TaperSpec, band, cholesky_factor, schur_product, taper_weights
+from covband.simgen import CovarianceModel, build_covariance, sample_gaussian
 
 
 def brute_force_covariance(X):
@@ -146,25 +148,60 @@ def test_full_band_reconstruction_equals_sample_covariance():
         assert np.max(np.abs(C - S)) <= 1e-8 * np.max(np.abs(S))
 
 
+def _mixed_gaussian(n, p):
+    rng = np.random.default_rng(9)
+    return rng.standard_normal((n, p)) @ rng.standard_normal((p, p))
+
+
+def _long_memory(n, p):
+    # fractional Gaussian noise with H = 0.9: strongly correlated
+    # predecessors, so the Gram blocks are ill-conditioned
+    Sigma = build_covariance(CovarianceModel("fgn", 0.9), p)
+    return sample_gaussian(Sigma, n, np.random.default_rng(19))
+
+
 def test_matches_per_column_least_squares():
     # independent oracle: regress each centered column on its k nearest
     # predecessors with lstsq and compare coefficients and residual
     # variances (divisor n)
-    rng = np.random.default_rng(9)
-    n, p, k = 40, 7, 3
-    X = rng.standard_normal((n, p)) @ rng.standard_normal((p, p))
-    Xc = X - X.mean(axis=0)
-    f = fit_banded_cholesky(X, k)
-    for j in range(p):
-        m = min(k, j)
-        if m == 0:
-            assert f.D[j] == pytest.approx(np.mean(Xc[:, j] ** 2), rel=1e-10)
-            continue
-        Z = Xc[:, j - m : j]
-        coef, _, _, _ = np.linalg.lstsq(Z, Xc[:, j], rcond=None)
-        assert_allclose(f.A[j, j - m : j], coef, rtol=1e-8, atol=1e-10)
-        resid = Xc[:, j] - Z @ coef
-        assert f.D[j] == pytest.approx(np.mean(resid**2), rel=1e-8)
+    for X, ks in ((_mixed_gaussian(40, 7), (3,)), (_long_memory(200, 100), (5, 50, 99))):
+        p = X.shape[1]
+        Xc = X - X.mean(axis=0)
+        for k in ks:
+            f = fit_banded_cholesky(X, k)
+            for j in range(p):
+                m = min(k, j)
+                if m == 0:
+                    assert f.D[j] == pytest.approx(np.mean(Xc[:, j] ** 2), rel=1e-10)
+                    continue
+                Z = Xc[:, j - m : j]
+                coef, _, _, _ = np.linalg.lstsq(Z, Xc[:, j], rcond=None)
+                assert_allclose(f.A[j, j - m : j], coef, rtol=1e-8, atol=1e-10)
+                resid = Xc[:, j] - Z @ coef
+                assert f.D[j] == pytest.approx(np.mean(resid**2), rel=1e-8)
+
+
+def test_covariance_matches_sample_covariance_inside_the_band():
+    # the bandwidth-k Cholesky estimate is the completion of the band of S
+    # whose inverse is k-banded, so it reproduces S on |i - j| <= k
+    X = _long_memory(120, 30)
+    S = sample_covariance(X)
+    dist = np.abs(np.subtract.outer(np.arange(30), np.arange(30)))
+    for k in (0, 1, 4, 17, 29):
+        C = cholesky_banded_covariance(X, k)
+        inside = dist <= k
+        assert np.max(np.abs(C - S)[inside]) <= 1e-10 * np.max(np.abs(S))
+        if k < 29:
+            assert np.max(np.abs(C - S)[~inside]) > 1e-6
+
+
+def test_covariance_path_matches_single_fits():
+    X = _long_memory(60, 25)
+    ks = [0, 1, 2, 5, 13, 40]  # bandwidths past p - 1 act like p - 1
+    path = cholesky_covariance_path(sample_covariance(X), ks)
+    assert path.shape == (len(ks), 25, 25)
+    for k, C in zip(ks, path):
+        assert_allclose(C, cholesky_banded_covariance(X, min(k, 24)), rtol=1e-12, atol=1e-14)
 
 
 def test_residual_variance_nonincreasing_in_k():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -289,6 +291,27 @@ def test_cholesky_reconstructs_random_pd_matrices():
         assert np.max(np.abs(L @ L.T - M)) <= 1e-8 * scale
 
 
+def test_cholesky_factors_stacks_with_a_pivot_test_per_matrix():
+    rng = np.random.default_rng(9)
+    M = np.stack([random_pd(rng, 4) for _ in range(3)])
+    L = cholesky_factor(M)
+    for i in range(3):
+        assert_array_equal(L[i], cholesky_factor(M[i]))
+    # the tolerance is relative to each matrix's own diagonal
+    assert_allclose(cholesky_factor(np.stack([1e-20 * M[0], M[1]]))[0], 1e-10 * L[0])
+    singular = M.copy()
+    singular[1] = np.ones((4, 4))
+    with pytest.raises(NotPositiveDefinite):
+        cholesky_factor(singular)
+    nearly = M.copy()
+    nearly[2, 3, 3] = nearly[2, 3, :3] @ np.linalg.solve(nearly[2, :3, :3], nearly[2, :3, 3])
+    nearly[2, 3, 3] += 1e-14 * nearly[2].diagonal().max()
+    with pytest.raises(NotPositiveDefinite, match="matrix \\(2,\\), column 3"):
+        cholesky_factor(nearly)
+    with pytest.raises(ValueError):
+        cholesky_factor(np.stack([np.eye(2), np.array([[1.0, 0.5], [0.4, 1.0]])]))
+
+
 def test_is_positive_definite():
     assert is_positive_definite(np.eye(4))
     assert not is_positive_definite(np.ones((3, 3)))
@@ -350,3 +373,12 @@ def test_matrix_csv_rejects_nonsquare_and_nonfinite(tmp_path):
     path.write_text("1.0,nan\nnan,1.0\n")
     with pytest.raises(DataFormatError):
         load_matrix_csv(path)
+
+
+def test_matrix_csv_empty_file_rejected_without_warning(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataFormatError, match="no data rows"):
+            load_matrix_csv(path)

@@ -319,3 +319,13 @@ def test_risk_curve_csv_rejects_wrong_header(tmp_path):
     path.write_text("bandwidth,loss\n0,1.0\n")
     with pytest.raises(DataFormatError):
         read_risk_curve(path)
+
+
+@pytest.mark.parametrize(
+    "body", ["0,1.0\n1,1.0,7\n", "0,1.0\nx,2.0\n", "0,1.0\n1,\n", "0,1.0\n# k_hat=one\n"]
+)
+def test_risk_curve_csv_malformed_line_names_file_and_line(tmp_path, body):
+    path = tmp_path / "curve.csv"
+    path.write_text("k,risk\n" + body)
+    with pytest.raises(DataFormatError, match="curve.csv:3: malformed line"):
+        read_risk_curve(path)
