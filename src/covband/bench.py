@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DataFormatError
 from .estimators import sample_covariance
 from .forecast import conditional_coefficients, forecast_error, ingest_counts, partition_moments
-from .matcore import TaperSpec, matrix_norm, schur_product, taper_weights
+from .matcore import TaperSpec, matrix_norm, schur_product, single_blas_thread, taper_weights
 from .selection import (
     ESTIMATOR_KINDS,
     SELECTION_NORMS,
@@ -386,32 +386,34 @@ def forecast_workflow(
         raise ValueError(f"split must be in 1..{p - 1}, got {split}")
     if estimator_kind not in FORECAST_ESTIMATORS:
         raise ValueError(f"estimator must be one of {FORECAST_ESTIMATORS}")
-    train = X[:n_train]
-    test = X[n_train:]
-    mu = train.mean(axis=0)
-    S = sample_covariance(train)
+    # as in estimate_risk: one BLAS thread keeps the Cholesky path steady
+    with single_blas_thread(estimator_kind == "cholesky"):
+        train = X[:n_train]
+        test = X[n_train:]
+        mu = train.mean(axis=0)
+        S = sample_covariance(train)
 
-    selected_k: int | None = None
-    if estimator_kind == "sample":
-        S_est = S
-    elif estimator_kind == "tapered":
-        if taper is None:
-            raise ValueError("tapered estimator requires a TaperSpec")
-        S_est = schur_product(S, taper_weights(taper, p))
-    else:
-        if k == "auto":
-            if seed is None:
-                raise ValueError("k='auto' requires a seed for the resampling splits")
-            curve = estimate_risk(
-                train, estimator_kind=estimator_kind, N=N, n1=n1, norm=norm, seed=seed
-            )
-            selected_k = select_k(curve).k_hat
+        selected_k: int | None = None
+        if estimator_kind == "sample":
+            S_est = S
+        elif estimator_kind == "tapered":
+            if taper is None:
+                raise ValueError("tapered estimator requires a TaperSpec")
+            S_est = schur_product(S, taper_weights(taper, p))
         else:
-            selected_k = int(k)
-        S_est = _fit_regularized(train, estimator_kind, selected_k)
+            if k == "auto":
+                if seed is None:
+                    raise ValueError("k='auto' requires a seed for the resampling splits")
+                curve = estimate_risk(
+                    train, estimator_kind=estimator_kind, N=N, n1=n1, norm=norm, seed=seed
+                )
+                selected_k = select_k(curve).k_hat
+            else:
+                selected_k = int(k)
+            S_est = _fit_regularized(train, estimator_kind, selected_k)
 
-    errors = _prediction_errors(S_est, mu, split, test)
-    baseline = _prediction_errors(S, mu, split, test)
+        errors = _prediction_errors(S_est, mu, split, test)
+        baseline = _prediction_errors(S, mu, split, test)
     return ForecastOutcome(
         estimator_kind=estimator_kind,
         selected_k=selected_k,

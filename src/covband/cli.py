@@ -29,6 +29,7 @@ import sys
 import numpy as np
 
 from .bench import (
+    FORECAST_ESTIMATORS,
     ExperimentSpec,
     run_forecast_experiment,
     run_simulation_experiment,
@@ -127,10 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--counts", required=True, help="counts CSV, rows = days")
     p_pre.add_argument("--n-train", type=int, required=True)
     p_pre.add_argument("--split", type=int, required=True)
-    p_pre.add_argument(
-        "--estimator", default="cholesky",
-        choices=("sample", "banded", "tapered", "cholesky"),
-    )
+    p_pre.add_argument("--estimator", default="cholesky", choices=FORECAST_ESTIMATORS)
     p_pre.add_argument("--k", default="auto", help="bandwidth, or 'auto' to select")
     p_pre.add_argument("--taper", help=f"FAMILY:SCALE with family in {TAPER_FAMILIES}")
     p_pre.add_argument("--transform", default="sqrt_quarter", choices=TRANSFORMS)

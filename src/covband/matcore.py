@@ -13,6 +13,10 @@ constructor in this package enforces that bit-level symmetry (by averaging
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -224,6 +228,40 @@ def cholesky_factor(M) -> np.ndarray:
             f"below tolerance {tol[tuple(block)]:.3e}"
         )
     return L
+
+
+@contextlib.contextmanager
+def single_blas_thread(active: bool = True):
+    """Cap numpy's OpenBLAS at one thread inside the block, if ``active``.
+
+    On the many small products of the Cholesky path a second thread gains
+    little, but it spins after each threaded call: CPU time doubles and
+    the run slows whenever the other core is busy.  The cap is
+    process-wide and restored on exit; without OpenBLAS it does nothing.
+    """
+    get_set = _openblas_threads() if active else None
+    if get_set is None:
+        yield
+        return
+    before = get_set[0]()
+    get_set[1](1)
+    try:
+        yield
+    finally:
+        get_set[1](before)
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of numpy's OpenBLAS, or None."""
+    from numpy.linalg import _umath_linalg
+
+    lib = ctypes.CDLL(_umath_linalg.__file__)  # its symbol lookup covers the BLAS it links
+    for prefix, suffix in itertools.product(("openblas", "scipy_openblas"), ("", "64_")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        if get is not None:
+            return get, getattr(lib, f"{prefix}_set_num_threads{suffix}")
+    return None
 
 
 def is_positive_definite(M) -> bool:

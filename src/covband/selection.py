@@ -26,7 +26,7 @@ from .estimators import (
     cholesky_covariance_path,
     sample_covariance,
 )
-from .matcore import band, matrix_norm
+from .matcore import band, matrix_norm, single_blas_thread
 from .simgen import CovarianceModel, build_covariance, sample_gaussian, substream
 
 ESTIMATOR_KINDS = ("banded", "cholesky")
@@ -60,10 +60,7 @@ class RiskCurve:
             raise ValueError("k_grid must be strictly ascending nonnegative integers")
         if not np.all(np.isfinite(r)) or np.any(r < 0):
             raise ValueError("risk values must be finite and >= 0")
-        if self.estimator_kind not in ESTIMATOR_KINDS:
-            raise ValueError(f"estimator_kind must be one of {ESTIMATOR_KINDS}")
-        if self.norm not in SELECTION_NORMS:
-            raise ValueError(f"norm must be one of {SELECTION_NORMS}")
+        _check_kind_norm(self.estimator_kind, self.norm)
         if self.N is not None:
             if self.N < 1:
                 raise ValueError("N must be >= 1")
@@ -138,18 +135,16 @@ def estimate_risk(
     if N < 1:
         raise ValueError("N must be >= 1")
     _check_kind_norm(estimator_kind, norm)
-    ks = _check_k_grid(k_grid, default_k_grid(p, estimator_kind, n1))
-    if estimator_kind == "cholesky" and ks[-1] > n1 - 2:
-        raise BandwidthTooLarge(
-            f"cholesky bandwidths must satisfy k <= n1 - 2 = {n1 - 2}, grid goes to {ks[-1]}"
-        )
+    ks = _check_k_grid(k_grid, p, estimator_kind, n1, "n1")
 
     total = np.zeros(ks.size)
-    for nu in range(N):
-        perm = substream(seed, nu).permutation(n)
-        S1 = sample_covariance(X[perm[:n1]])
-        S2 = sample_covariance(X[perm[n1:]])
-        total += _split_loss_curve(S1, S2, ks, estimator_kind, norm)
+    # the Cholesky path is many small products: one BLAS thread keeps it steady
+    with single_blas_thread(estimator_kind == "cholesky"):
+        for nu in range(N):
+            perm = substream(seed, nu).permutation(n)
+            S1 = sample_covariance(X[perm[:n1]])
+            S2 = sample_covariance(X[perm[n1:]])
+            total += _split_loss_curve(S1, S2, ks, estimator_kind, norm)
     return RiskCurve(
         k_grid=ks,
         risk=total / N,
@@ -181,11 +176,7 @@ def oracle_k1(X, truth, k_grid=None, estimator_kind: str = "banded",
     if truth.shape != (p, p):
         raise ValueError(f"truth must be {p} x {p}, got {truth.shape}")
     _check_kind_norm(estimator_kind, norm)
-    ks = _check_k_grid(k_grid, default_k_grid(p, estimator_kind, n))
-    if estimator_kind == "cholesky" and ks[-1] > n - 2:
-        raise BandwidthTooLarge(
-            f"cholesky bandwidths must satisfy k <= n - 2 = {n - 2}, grid goes to {ks[-1]}"
-        )
+    ks = _check_k_grid(k_grid, p, estimator_kind, n, "n")
     losses = _split_loss_curve(sample_covariance(X), truth, ks, estimator_kind, norm)
     curve = RiskCurve(
         k_grid=ks, risk=losses, estimator_kind=estimator_kind,
@@ -215,11 +206,7 @@ def oracle_k0(
         raise ValueError("reps must be >= 1")
     _check_kind_norm(estimator_kind, norm)
     Sigma = build_covariance(model, p)
-    ks = _check_k_grid(k_grid, default_k_grid(p, estimator_kind, n))
-    if estimator_kind == "cholesky" and ks[-1] > n - 2:
-        raise BandwidthTooLarge(
-            f"cholesky bandwidths must satisfy k <= n - 2 = {n - 2}, grid goes to {ks[-1]}"
-        )
+    ks = _check_k_grid(k_grid, p, estimator_kind, n, "n")
     total = np.zeros(ks.size)
     for r in range(reps):
         X = sample_gaussian(Sigma, n, np.random.SeedSequence([int(seed), r]))
@@ -331,12 +318,14 @@ def _check_kind_norm(kind, norm):
         raise ValueError(f"norm must be one of {SELECTION_NORMS}, got {norm!r}")
 
 
-def _check_k_grid(k_grid, default: np.ndarray) -> np.ndarray:
-    if k_grid is None:
-        return default
-    ks = np.asarray(k_grid, dtype=int)
+def _check_k_grid(k_grid, p, kind, n_fit, fit_name) -> np.ndarray:
+    """``k_grid`` checked, or the default grid; cholesky needs k <= n_fit - 2."""
+    ks = default_k_grid(p, kind, n_fit) if k_grid is None else np.asarray(k_grid, dtype=int)
     if ks.ndim != 1 or ks.size == 0:
         raise ValueError("k_grid must be a nonempty 1-D integer sequence")
     if ks[0] < 0 or np.any(np.diff(ks) <= 0):
         raise ValueError("k_grid must be strictly ascending nonnegative integers")
+    if kind == "cholesky" and ks[-1] > n_fit - 2:
+        raise BandwidthTooLarge(f"cholesky bandwidths must satisfy k <= {fit_name} - 2 = "
+                                f"{n_fit - 2}, grid goes to {ks[-1]}")
     return ks

@@ -14,8 +14,10 @@ from covband.matcore import (
     load_matrix_csv,
     matrix_norm,
     require_symmetric,
+    _openblas_threads,
     save_matrix_csv,
     schur_product,
+    single_blas_thread,
     sym_eigen,
     symmetrize,
     taper_weights,
@@ -310,6 +312,30 @@ def test_cholesky_factors_stacks_with_a_pivot_test_per_matrix():
         cholesky_factor(nearly)
     with pytest.raises(ValueError):
         cholesky_factor(np.stack([np.eye(2), np.array([[1.0, 0.5], [0.4, 1.0]])]))
+
+
+def test_single_blas_thread_caps_and_restores_the_thread_count():
+    threads = _openblas_threads()
+    if threads is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    get, set_ = threads
+    before = get()
+    set_(2)
+    outer = get()
+    try:
+        with single_blas_thread():
+            assert get() == 1
+            with single_blas_thread():
+                assert get() == 1
+            assert get() == 1
+        assert get() == outer
+        with single_blas_thread(False):
+            assert get() == outer
+        with pytest.raises(RuntimeError), single_blas_thread():
+            raise RuntimeError
+        assert get() == outer
+    finally:
+        set_(before)
 
 
 def test_is_positive_definite():
