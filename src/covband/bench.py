@@ -34,9 +34,8 @@ from .selection import (
     ESTIMATOR_KINDS,
     SELECTION_NORMS,
     RiskCurve,
-    _split_loss_curve,
-    default_k_grid,
     estimate_risk,
+    oracle_k1,
     select_k,
 )
 from .simgen import (
@@ -183,57 +182,43 @@ def run_simulation_experiment(spec: ExperimentSpec) -> ExperimentReport:
     second pass.  Deterministic for a fixed spec.
     """
     Sigma = build_covariance(spec.model, spec.p)
-    n1 = spec.n // 3 if spec.n1 is None else spec.n1
-    if spec.k_grid is not None:
-        ks = np.asarray(spec.k_grid, dtype=int)
-    else:
-        ks = default_k_grid(spec.p, spec.estimator_kind, n1)
-
-    losses = np.empty((spec.reps, ks.size))
-    k_hats = np.empty(spec.reps, dtype=int)
-    loss_k_hats = np.empty(spec.reps)
-    loss_samples = np.empty(spec.reps)
-    est_risk_single = None
+    curves, oracles, loss_samples = [], [], []
     for r in range(spec.reps):
         X = sample_gaussian(Sigma, spec.n, np.random.SeedSequence([spec.seed, r, 0]))
-        curve = estimate_risk(
+        curves.append(estimate_risk(
             X,
-            k_grid=ks,
+            k_grid=spec.k_grid,
             estimator_kind=spec.estimator_kind,
             N=spec.N,
-            n1=n1,
+            n1=spec.n1,
             norm=spec.norm,
             seed=substream_seed(spec.seed, r, 1),
-        )
-        if r == 0:
-            est_risk_single = curve
-        k_hats[r] = select_k(curve).k_hat
-        S = sample_covariance(X)
-        losses[r] = _split_loss_curve(S, Sigma, ks, spec.estimator_kind, spec.norm)
-        loss_k_hats[r] = losses[r][np.searchsorted(ks, k_hats[r])]
-        loss_samples[r] = matrix_norm(S - Sigma, spec.norm)
+        ))
+        oracles.append(oracle_k1(X, Sigma, curves[-1].k_grid, spec.estimator_kind, spec.norm))
+        loss_samples.append(matrix_norm(sample_covariance(X) - Sigma, spec.norm))
 
+    ks = curves[0].k_grid
+    losses = np.array([o.curve.risk for o in oracles])
     true_risk = losses.mean(axis=0)
     i0 = int(np.argmin(true_risk))
-    i1 = np.argmin(losses, axis=1)
-    records = [
-        ReplicationRecord(
+    records = []
+    for r, (curve, oracle) in enumerate(zip(curves, oracles)):
+        k_hat = select_k(curve).k_hat
+        records.append(ReplicationRecord(
             rep=r,
-            k_hat=int(k_hats[r]),
-            k1=int(ks[i1[r]]),
-            loss_k_hat=float(loss_k_hats[r]),
+            k_hat=k_hat,
+            k1=oracle.k_hat,
+            loss_k_hat=float(losses[r, np.searchsorted(ks, k_hat)]),
             loss_k0=float(losses[r, i0]),
-            loss_k1=float(losses[r, i1[r]]),
+            loss_k1=float(oracle.curve.risk.min()),
             loss_sample=float(loss_samples[r]),
-        )
-        for r in range(spec.reps)
-    ]
+        ))
     return ExperimentReport(
         spec=spec,
         k_grid=ks,
         k0=int(ks[i0]),
         true_risk=true_risk,
-        est_risk_single=est_risk_single,
+        est_risk_single=curves[0],
         records=records,
     )
 
@@ -273,38 +258,45 @@ def read_experiment_report(path):
     aggregates: dict[str, tuple[float, float]] = {}
     records: list[ReplicationRecord] = []
     saw_header = False
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if not line.startswith("#") and not saw_header:
-                if line != RECORD_HEADER:
-                    raise DataFormatError(f"{path}:{lineno}: unexpected record header {line!r}")
-                saw_header = True
-                continue
-            try:
-                if line.startswith("#"):
-                    body = line[1:].strip()
-                    if body.startswith("spec "):
-                        spec_text = body[5:]
-                    elif body.startswith("agg "):
-                        name, mean_part, sd_part = body[4:].split()
-                        aggregates[name] = (
-                            float(mean_part.split("=", 1)[1]),
-                            float(sd_part.split("=", 1)[1]),
-                        )
-                    elif body.startswith("k0 ") and k0 is None:
-                        k0 = int(body[3:])
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
                     continue
-                f = line.split(",")
-                if len(f) != 7:
-                    raise ValueError(f"expected 7 fields, got {len(f)}")
-                records.append(
-                    ReplicationRecord(int(f[0]), int(f[1]), int(f[2]), *map(float, f[3:]))
-                )
-            except (ValueError, IndexError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: malformed line {line!r} ({exc})") from None
+                if not line.startswith("#") and not saw_header:
+                    if line != RECORD_HEADER:
+                        raise DataFormatError(
+                            f"{path}:{lineno}: unexpected record header {line!r}"
+                        )
+                    saw_header = True
+                    continue
+                try:
+                    if line.startswith("#"):
+                        body = line[1:].strip()
+                        if body.startswith("spec "):
+                            spec_text = body[5:]
+                        elif body.startswith("agg "):
+                            name, mean_part, sd_part = body[4:].split()
+                            aggregates[name] = (
+                                float(mean_part.split("=", 1)[1]),
+                                float(sd_part.split("=", 1)[1]),
+                            )
+                        elif body.startswith("k0 ") and k0 is None:
+                            k0 = int(body[3:])
+                        continue
+                    f = line.split(",")
+                    if len(f) != 7:
+                        raise ValueError(f"expected 7 fields, got {len(f)}")
+                    records.append(
+                        ReplicationRecord(int(f[0]), int(f[1]), int(f[2]), *map(float, f[3:]))
+                    )
+                except (ValueError, IndexError) as exc:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: malformed line {line!r} ({exc})"
+                    ) from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from None
     if spec_text is None or k0 is None or not saw_header:
         raise DataFormatError(f"{path}: not a covband simulation report")
     return spec_text, k0, aggregates, records

@@ -107,23 +107,24 @@ def ingest_counts(path, transform: str = "sqrt_quarter") -> np.ndarray:
         raise ValueError(f"transform must be one of {TRANSFORMS}, got {transform!r}")
     rows: list[list[float]] = []
     header_skipped = False
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, fields in enumerate(reader, start=1):
-            if not fields or all(f.strip() == "" for f in fields):
-                continue
-            try:
-                values = [float(f) for f in fields]
-            except ValueError:
-                if not rows and not header_skipped:
-                    header_skipped = True  # leading header row
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for lineno, fields in enumerate(csv.reader(fh), start=1):
+                if not fields or all(f.strip() == "" for f in fields):
                     continue
-                raise DataFormatError(f"{path}:{lineno}: non-numeric field") from None
-            if rows and len(values) != len(rows[0]):
-                raise DataFormatError(
-                    f"{path}:{lineno}: ragged row ({len(values)} fields, expected {len(rows[0])})"
-                )
-            rows.append(values)
+                try:
+                    values = [float(f) for f in fields]
+                except ValueError:
+                    if not rows and not header_skipped:
+                        header_skipped = True  # leading header row
+                        continue
+                    raise DataFormatError(f"{path}:{lineno}: non-numeric field") from None
+                if rows and len(values) != len(rows[0]):
+                    raise DataFormatError(f"{path}:{lineno}: ragged row ({len(values)} "
+                                          f"fields, expected {len(rows[0])})")
+                rows.append(values)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"{path}: unreadable CSV ({exc})") from None
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     X = np.asarray(rows, dtype=float)

@@ -151,7 +151,8 @@ def matrix_norm(M, which: str = "operator") -> float:
     """Matrix norm of a symmetric matrix.
 
     ``operator``
-        Largest absolute eigenvalue (spectral norm), via ``sym_eigen``.
+        Largest absolute eigenvalue (spectral norm), from the eigenvalues
+        alone (``numpy.linalg.eigvalsh``).
     ``one_one``
         Maximum absolute column sum (the l1 -> l1 induced norm; for
         symmetric input this coincides with the max row sum).
@@ -162,7 +163,7 @@ def matrix_norm(M, which: str = "operator") -> float:
     """
     A = require_symmetric(M)
     if which == "operator":
-        return float(np.max(np.abs(sym_eigen(A).eigenvalues)))
+        return float(np.max(np.abs(np.linalg.eigvalsh(A))))
     if which == "one_one":
         return float(np.max(np.sum(np.abs(A), axis=0)))
     if which == "max_abs":

@@ -204,15 +204,16 @@ def oracle_k0(
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    _check_kind_norm(estimator_kind, norm)
     Sigma = build_covariance(model, p)
-    ks = _check_k_grid(k_grid, p, estimator_kind, n, "n")
-    total = np.zeros(ks.size)
-    for r in range(reps):
-        X = sample_gaussian(Sigma, n, np.random.SeedSequence([int(seed), r]))
-        total += _split_loss_curve(sample_covariance(X), Sigma, ks, estimator_kind, norm)
-    mean_loss = total / reps
-    return int(ks[int(np.argmin(mean_loss))]), mean_loss
+    curves = [
+        oracle_k1(
+            sample_gaussian(Sigma, n, np.random.SeedSequence([int(seed), r])),
+            Sigma, k_grid, estimator_kind, norm,
+        ).curve
+        for r in range(reps)
+    ]
+    mean_loss = np.mean([c.risk for c in curves], axis=0)
+    return int(curves[0].k_grid[int(np.argmin(mean_loss))]), mean_loss
 
 
 def theoretical_bandwidth(n: int, p: int, alpha: float) -> int:
@@ -247,21 +248,24 @@ def read_risk_curve(path) -> tuple[np.ndarray, np.ndarray, int | None]:
     A malformed line raises :class:`DataFormatError` naming the file and line.
     """
     ks, rs, k_hat = [], [], None
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "k,risk":
-            raise DataFormatError(f"{path}: expected header 'k,risk', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            try:
-                if line.startswith("#") and "k_hat=" in line:
-                    k_hat = int(line.split("k_hat=")[1])
-                elif line and not line.startswith("#"):
-                    k, r = line.split(",")
-                    ks.append(int(k))
-                    rs.append(float(r))
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: malformed line {line!r}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if header != "k,risk":
+                raise DataFormatError(f"{path}: expected header 'k,risk', got {header!r}")
+            for lineno, line in enumerate(fh, start=2):
+                line = line.strip()
+                try:
+                    if line.startswith("#") and "k_hat=" in line:
+                        k_hat = int(line.split("k_hat=")[1])
+                    elif line and not line.startswith("#"):
+                        k, r = line.split(",")
+                        ks.append(int(k))
+                        rs.append(float(r))
+                except ValueError:
+                    raise DataFormatError(f"{path}:{lineno}: malformed line {line!r}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from None
     return np.asarray(ks, dtype=int), np.asarray(rs, dtype=float), k_hat
 
 
@@ -272,21 +276,15 @@ def read_risk_curve(path) -> tuple[np.ndarray, np.ndarray, int | None]:
 
 def _split_loss_curve(S_fit, target, ks, estimator_kind, norm) -> np.ndarray:
     """||estimate_k - target|| for every k, with the estimator built from
-    the sample covariance ``S_fit``."""
+    the sample covariance ``S_fit``; banded (1,1) curves take a prefix-sum
+    fast path."""
+    if estimator_kind == "banded" and norm == "one_one":
+        return _one_one_band_curve(S_fit, target, ks)
     if estimator_kind == "banded":
-        if norm == "one_one":
-            return _one_one_band_curve(S_fit, target, ks)
-        return np.array(
-            [matrix_norm(band(S_fit, int(k)) - target, "operator") for k in ks]
-        )
-    out = np.empty(len(ks))
-    for i, Sigma in enumerate(cholesky_covariance_path(S_fit, ks)):
-        diff = Sigma - target
-        if norm == "one_one":
-            out[i] = np.max(np.sum(np.abs(diff), axis=0))
-        else:
-            out[i] = matrix_norm(diff, "operator")
-    return out
+        estimates = (band(S_fit, int(k)) for k in ks)
+    else:
+        estimates = cholesky_covariance_path(S_fit, ks)
+    return np.array([matrix_norm(E - target, norm) for E in estimates])
 
 
 def _one_one_band_curve(S, T, ks) -> np.ndarray:

@@ -14,8 +14,16 @@ from covband.bench import (
     write_ratio_table,
 )
 from covband.errors import DataFormatError
-from covband.matcore import TaperSpec
-from covband.simgen import CovarianceModel, build_covariance, parse_model, sample_gaussian
+from covband.estimators import sample_covariance
+from covband.matcore import TaperSpec, matrix_norm
+from covband.selection import estimate_risk, oracle_k0, oracle_k1, select_k
+from covband.simgen import (
+    CovarianceModel,
+    build_covariance,
+    parse_model,
+    sample_gaussian,
+    substream_seed,
+)
 
 
 def small_spec(**overrides):
@@ -126,6 +134,40 @@ def test_cholesky_kind_experiment_runs():
     report = run_simulation_experiment(spec)
     assert report.k_grid[-1] <= spec.n // 3 - 2
     assert all(np.isfinite(r.loss_k_hat) for r in report.records)
+
+
+@pytest.mark.parametrize("kind", ["banded", "cholesky"])
+def test_experiment_is_built_on_the_public_selection_api(kind):
+    # replication r: data from substream (seed, r, 0), resampling seed from
+    # (seed, r, 1); k1 and the true-risk curve come from oracle_k1
+    spec = small_spec(model=CovarianceModel("ar1", 0.6), estimator_kind=kind)
+    report = run_simulation_experiment(spec)
+    Sigma = build_covariance(spec.model, spec.p)
+    oracle_curves = []
+    for r, rec in enumerate(report.records):
+        X = sample_gaussian(Sigma, spec.n, np.random.SeedSequence([spec.seed, r, 0]))
+        curve = estimate_risk(X, estimator_kind=kind, N=spec.N, norm=spec.norm,
+                              seed=substream_seed(spec.seed, r, 1))
+        if r == 0:
+            assert_array_equal(report.est_risk_single.risk, curve.risk)
+        assert rec.k_hat == select_k(curve).k_hat
+        oracle = oracle_k1(X, Sigma, curve.k_grid, kind, spec.norm)
+        assert rec.k1 == oracle.k_hat
+        assert rec.loss_k1 == oracle.curve.risk.min()
+        assert rec.loss_sample == matrix_norm(sample_covariance(X) - Sigma, spec.norm)
+        oracle_curves.append(oracle.curve.risk)
+    assert_array_equal(report.true_risk, np.mean(oracle_curves, axis=0))
+
+    # oracle_k0 averages the same oracle_k1 curves over datasets (seed, r)
+    k0, mean_loss = oracle_k0(spec.model, spec.n, spec.p, report.k_grid, spec.reps,
+                              kind, spec.norm, seed=spec.seed)
+    expected = np.mean([
+        oracle_k1(sample_gaussian(Sigma, spec.n, np.random.SeedSequence([spec.seed, r])),
+                  Sigma, report.k_grid, kind, spec.norm).curve.risk
+        for r in range(spec.reps)
+    ], axis=0)
+    assert_array_equal(mean_loss, expected)
+    assert k0 == report.k_grid[np.argmin(expected)]
 
 
 def test_explicit_k_grid_is_respected():

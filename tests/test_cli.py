@@ -101,6 +101,16 @@ def test_empty_data_file_is_a_data_error(tmp_path, capsys, command, content):
     assert "no data rows" in capsys.readouterr().err
 
 
+def test_non_utf8_counts_file_is_a_data_error(tmp_path, capsys):
+    # UnicodeDecodeError is a ValueError, which would otherwise mean exit 1
+    counts = tmp_path / "counts.csv"
+    counts.write_bytes(b"\xff\xfe1,2\n3,4\n")
+    code = run("predict", "--counts", str(counts), "--n-train", "1", "--split", "1",
+               "--estimator", "sample", "--out", str(tmp_path / "fc.csv"))
+    assert code == 2
+    assert str(counts) in capsys.readouterr().err
+
+
 def test_importing_the_package_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(covband.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -250,6 +260,34 @@ def test_bench_is_byte_deterministic(tmp_path):
     assert run(*args, "--out-dir", str(d2)) == 0
     for f in sorted(p.name for p in d1.iterdir()):
         assert (d1 / f).read_bytes() == (d2 / f).read_bytes()
+
+
+def test_bench_reproducibility_across_blas_thread_settings(tmp_path):
+    # bit-identical output holds for one BLAS thread setting; across settings
+    # the last digits may move, but every selected bandwidth must not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(covband.__file__)))
+
+    def bench(threads, out_dir):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-m", "covband.cli", "bench",
+                        "--model", "ar1:rho=0.7", "--p", "150", "--n", "60", "--reps", "2",
+                        "--N", "4", "--estimator", "cholesky", "--norm", "operator",
+                        "--seed", "3", "--out-dir", str(out_dir)],
+                       env=env, capture_output=True, check=True)
+        return out_dir
+
+    first, second = bench(2, tmp_path / "a"), bench(2, tmp_path / "b")
+    one = bench(1, tmp_path / "c")
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    report = "report_cholesky_ar1_rho0.7_p150_n60.csv"
+    _, k0_two, _, records_two = read_experiment_report(first / report)
+    _, k0_one, _, records_one = read_experiment_report(one / report)
+    assert k0_one == k0_two
+    assert [(r.k_hat, r.k1) for r in records_one] == [(r.k_hat, r.k1) for r in records_two]
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,14 @@ def test_ingest_rejects_empty_file(tmp_path):
         ingest_counts(path, "none")
 
 
+def test_ingest_rejects_a_field_beyond_the_csv_limit(tmp_path):
+    # the csv module raises its own csv.Error here, not a ValueError
+    path = tmp_path / "counts.csv"
+    path.write_text("1" * 200_000 + "\n")
+    with pytest.raises(DataFormatError, match="field limit"):
+        ingest_counts(path, "none")
+
+
 # ---------------------------------------------------------------------------
 # report output
 # ---------------------------------------------------------------------------

@@ -217,12 +217,15 @@ def test_matrix_norm_rejects_unknown_kind():
 
 def test_operator_norm_bounded_by_one_one_norm():
     # for symmetric matrices the spectral radius never exceeds the max
-    # absolute column sum
+    # absolute column sum.  Random symmetric inputs are indefinite (p > 1), so
+    # either end of the spectrum can carry the norm; it must match eigh's.
     rng = np.random.default_rng(6)
     for _ in range(100):
         p = int(rng.integers(1, 25))
         M = random_symmetric(rng, p, scale=float(rng.uniform(0.1, 5.0)))
-        assert matrix_norm(M, "operator") <= matrix_norm(M, "one_one") + 1e-10
+        op = matrix_norm(M, "operator")
+        assert op <= matrix_norm(M, "one_one") + 1e-10
+        assert_allclose(op, np.max(np.abs(sym_eigen(M).eigenvalues)), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
