@@ -29,9 +29,7 @@ import sys
 import numpy as np
 
 from .bench import (
-    FORECAST_ESTIMATORS,
     ExperimentSpec,
-    run_forecast_experiment,
     run_simulation_experiment,
     write_experiment_report,
     write_ratio_table,
@@ -46,7 +44,12 @@ from .estimators import (
     save_data_csv,
     tapered_covariance,
 )
-from .forecast import TRANSFORMS, write_forecast_report
+from .forecast import (
+    FORECAST_ESTIMATORS,
+    TRANSFORMS,
+    run_forecast_experiment,
+    write_forecast_report,
+)
 from .matcore import TAPER_FAMILIES, TaperSpec, save_matrix_csv
 from .selection import (
     ESTIMATOR_KINDS,

@@ -67,14 +67,21 @@ def band(M, k: int) -> np.ndarray:
     ``k >= p - 1`` is legal and returns a copy of ``M`` unchanged;
     ``k = 0`` keeps only the diagonal.
     """
-    A = require_symmetric(M)
     k = int(k)
     if k < 0:
         raise ValueError("bandwidth k must be >= 0")
-    p = A.shape[0]
-    if k >= p - 1:
-        return A.copy()
-    return np.where(_distance_grid(p) <= k, A, 0.0)
+    return next(band_path(M, [k]))
+
+
+def band_path(M, ks):
+    """Yield ``band(M, k)`` for each k of the ascending nonnegative ``ks``.
+
+    ``M`` is checked and the distance mask built once, not per bandwidth.
+    """
+    A = require_symmetric(M)
+    distance = _distance_grid(A.shape[0])
+    for k in ks:
+        yield np.where(distance <= k, A, 0.0)
 
 
 def schur_product(A, B) -> np.ndarray:
@@ -161,7 +168,12 @@ def matrix_norm(M, which: str = "operator") -> float:
     ``frobenius``
         Square root of the sum of squared entries.
     """
-    A = require_symmetric(M)
+    return unchecked_norm(require_symmetric(M), which)
+
+
+def unchecked_norm(A: np.ndarray, which: str) -> float:
+    """``matrix_norm`` without the entry check, for a float array the
+    caller has already checked to be symmetric (per-bandwidth loops)."""
     if which == "operator":
         return float(np.max(np.abs(np.linalg.eigvalsh(A))))
     if which == "one_one":
@@ -319,5 +331,6 @@ def save_matrix_csv(path, M) -> None:
 
 
 def _distance_grid(p: int) -> np.ndarray:
-    idx = np.arange(p)
+    # the smallest signed type that holds +-p: band_path keeps one grid for a whole path
+    idx = np.arange(p, dtype=np.min_scalar_type(-p))
     return np.abs(idx[:, None] - idx[None, :])

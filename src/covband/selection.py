@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import BandwidthTooLarge, DataFormatError, InsufficientData
 from .estimators import (
@@ -26,7 +27,7 @@ from .estimators import (
     cholesky_covariance_path,
     sample_covariance,
 )
-from .matcore import band, matrix_norm, single_blas_thread
+from .matcore import band_path, require_symmetric, single_blas_thread, unchecked_norm
 from .simgen import CovarianceModel, build_covariance, sample_gaussian, substream
 
 ESTIMATOR_KINDS = ("banded", "cholesky")
@@ -172,7 +173,7 @@ def oracle_k1(X, truth, k_grid=None, estimator_kind: str = "banded",
     """
     X = as_data_matrix(X)
     n, p = X.shape
-    truth = np.asarray(truth, dtype=float)
+    truth = require_symmetric(truth, "truth")
     if truth.shape != (p, p):
         raise ValueError(f"truth must be {p} x {p}, got {truth.shape}")
     _check_kind_norm(estimator_kind, norm)
@@ -276,37 +277,56 @@ def read_risk_curve(path) -> tuple[np.ndarray, np.ndarray, int | None]:
 
 def _split_loss_curve(S_fit, target, ks, estimator_kind, norm) -> np.ndarray:
     """||estimate_k - target|| for every k, with the estimator built from
-    the sample covariance ``S_fit``; banded (1,1) curves take a prefix-sum
-    fast path."""
+    the sample covariance ``S_fit``.
+
+    Banded (1,1) curves take the diagonal fast path.  Every other case
+    checks ``S_fit`` and ``target`` once here and then runs one unchecked
+    norm per bandwidth, on ``band_path`` or ``cholesky_covariance_path``
+    estimates.
+    """
     if estimator_kind == "banded" and norm == "one_one":
         return _one_one_band_curve(S_fit, target, ks)
+    S_fit = require_symmetric(S_fit, "S_fit")
+    target = require_symmetric(target, "target")
     if estimator_kind == "banded":
-        estimates = (band(S_fit, int(k)) for k in ks)
+        estimates = band_path(S_fit, ks)
     else:
         estimates = cholesky_covariance_path(S_fit, ks)
-    return np.array([matrix_norm(E - target, norm) for E in estimates])
+    # every estimate is a fresh array, so it can hold its own difference
+    return np.array([unchecked_norm(np.subtract(E, target, out=E), norm) for E in estimates])
 
 
 def _one_one_band_curve(S, T, ks) -> np.ndarray:
-    """||B_k(S) - T||_(1,1) for every k in ks, in one vectorized pass.
+    """||B_k(S) - T||_(1,1) for every k in ks, accumulated along diagonals.
 
-    The column j sum at bandwidth k splits into the |S - T| entries inside
-    the band plus the |T| entries outside it; both are prefix-sum
-    differences down column j, so the whole curve costs O(p^2 + |ks| p).
+    With Delta = |S - T| - |T|, column j's sum at bandwidth k is
+    colsum|T|_j + sum over |d| <= k of Delta[j + d, j]: inside the band
+    |S - T| replaces |T|.  S and T are symmetric, so column j of Delta is
+    its row j.  Each row is stored after K zeros, which makes the entries
+    at distance d left and right of the diagonal two strided views of one
+    buffer (zero where j - d < 0 or j + d >= p).  One cumulative sum over d
+    then gives every bandwidth up to K = min(max k, p - 1) in O(p^2 + K p);
+    bandwidths past p - 1 repeat the value at p - 1.
     """
     p = S.shape[0]
-    PE = np.cumsum(np.abs(S - T), axis=0)
-    PT = np.cumsum(np.abs(T), axis=0)
-    col_T = PT[-1]
-    j = np.arange(p)
-    kcol = np.asarray(ks, dtype=int)[:, None]
-    hi = np.minimum(j + kcol, p - 1)
-    lo = j - kcol - 1
-    inside = lo >= 0
-    lo_safe = np.maximum(lo, 0)
-    band_E = PE[hi, j] - np.where(inside, PE[lo_safe, j], 0.0)
-    band_T = PT[hi, j] - np.where(inside, PT[lo_safe, j], 0.0)
-    return np.max(band_E + (col_T - band_T), axis=1)
+    kc = np.minimum(ks, p - 1)
+    K = int(kc[-1])
+    r = p + K
+    abs_T = np.abs(T)
+    buf = np.zeros(p * r + K)  # the trailing K zeros pad the last row
+    delta = buf[: p * r].reshape(p, r)[:, K:]
+    np.subtract(S, T, out=delta)
+    np.abs(delta, out=delta)
+    delta -= abs_T
+    # G[j, d] = colsum|T|_j + Delta[j, j] at d = 0, Delta[j, j - d] + Delta[j, j + d] after
+    G = np.empty((p, K + 1))
+    np.add(abs_T.sum(axis=0), np.diagonal(delta), out=G[:, 0])
+    step = buf.itemsize
+    right = as_strided(buf[K + 1:], (p, K), ((r + 1) * step, step), writeable=False)
+    left = as_strided(buf[K - 1:], (p, K), ((r + 1) * step, -step), writeable=False)
+    np.add(left, right, out=G[:, 1:])
+    np.cumsum(G, axis=1, out=G)
+    return G.max(axis=0)[kc]
 
 
 def _check_kind_norm(kind, norm):

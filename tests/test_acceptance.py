@@ -11,7 +11,7 @@ The statistical criteria run the same seeded experiment pipeline as the
 import numpy as np
 import pytest
 
-from covband.bench import ExperimentSpec, forecast_workflow, run_simulation_experiment
+from covband.bench import ExperimentSpec, run_simulation_experiment
 from covband.estimators import (
     cholesky_banded_covariance,
     factors_to_matrices,
@@ -19,6 +19,7 @@ from covband.estimators import (
     sample_covariance,
     tapered_covariance,
 )
+from covband.forecast import forecast_workflow
 from covband.matcore import (
     TaperSpec,
     band,

@@ -4,17 +4,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from covband.bench import (
     ExperimentSpec,
-    ForecastOutcome,
-    forecast_workflow,
     parse_spec,
     read_experiment_report,
-    run_forecast_experiment,
     run_simulation_experiment,
     write_experiment_report,
     write_ratio_table,
 )
 from covband.errors import DataFormatError
 from covband.estimators import sample_covariance
+from covband.forecast import ForecastOutcome, forecast_workflow, run_forecast_experiment
 from covband.matcore import TaperSpec, matrix_norm
 from covband.selection import estimate_risk, oracle_k0, oracle_k1, select_k
 from covband.simgen import (

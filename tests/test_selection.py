@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
+from hypothesis import given
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from covband.errors import BandwidthTooLarge, DataFormatError, InsufficientData
 from covband.estimators import cholesky_banded_covariance, sample_covariance
-from covband.matcore import band, matrix_norm
+from covband.matcore import band, matrix_norm, symmetrize
 from covband.selection import (
     RiskCurve,
     SelectionResult,
+    _one_one_band_curve,
     default_k_grid,
     estimate_risk,
     log_split_size,
@@ -195,6 +198,25 @@ def test_banded_risk_matches_definitional_evaluation():
     assert np.max(np.abs(curve.risk - expected)) <= 1e-12
 
 
+def test_banded_risk_matches_definitional_evaluation_at_large_p():
+    # a gapped grid that runs past p - 1, at a p where every diagonal of
+    # the (1,1) fast path is long enough to expose an indexing slip
+    from covband.simgen import substream
+
+    n, p, n1, N, seed = 40, 300, 13, 3, 78
+    X = sample_gaussian(build_covariance(CovarianceModel("ar1", 0.7), p), n, 12)
+    ks = [0, 1, 2, 7, 40, 151, 298, 299, 300, 450]
+    curve = estimate_risk(X, k_grid=ks, N=N, n1=n1, seed=seed)
+    expected = np.zeros(len(ks))
+    for nu in range(N):
+        perm = substream(seed, nu).permutation(n)
+        S1 = sample_covariance(X[perm[:n1]])
+        S2 = sample_covariance(X[perm[n1:]])
+        expected += [matrix_norm(band(S1, k) - S2, "one_one") for k in ks]
+    assert_allclose(curve.risk, expected / N, rtol=1e-12, atol=0)
+    assert curve.risk[-1] == curve.risk[-2] == curve.risk[-3]
+
+
 def test_cholesky_risk_matches_definitional_evaluation():
     from covband.simgen import substream
 
@@ -229,6 +251,38 @@ def test_oracle_k1_matches_brute_force_loss_curve():
     assert np.max(np.abs(result.curve.risk - losses)) <= 1e-12
     assert result.k_hat == int(np.argmin(losses))
     assert result.curve.N is None
+
+
+@st.composite
+def symmetric_pair_and_grid(draw):
+    """p in 1..40, an independent random symmetric pair (S, T) of random
+    scales, and a strictly ascending grid that may run past p - 1."""
+    p = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    S, T = (symmetrize(rng.standard_normal((p, p)) * 10.0 ** draw(st.integers(-3, 3)))
+            for _ in range(2))
+    ks = sorted(draw(st.sets(st.integers(0, p + 3), min_size=1, max_size=p + 4)))
+    return S, T, ks, rng
+
+
+@given(symmetric_pair_and_grid())
+def test_one_one_band_curve_matches_its_definition(case):
+    S, T, ks, rng = case
+    expected = [matrix_norm(band(S, k) - T, "one_one") for k in ks]
+    assert_allclose(_one_one_band_curve(S, T, np.asarray(ks)), expected, rtol=1e-12, atol=0)
+    # the same curve through the public oracle, with S a sample covariance
+    X = rng.standard_normal((int(rng.integers(2, 50)), S.shape[0]))
+    S = sample_covariance(X)
+    expected = [matrix_norm(band(S, k) - T, "one_one") for k in ks]
+    assert_allclose(oracle_k1(X, T, ks).curve.risk, expected, rtol=1e-12, atol=0)
+
+
+def test_oracle_k1_rejects_an_asymmetric_truth():
+    X = np.random.default_rng(11).standard_normal((10, 3))
+    truth = np.eye(3)
+    truth[0, 2] = 0.5
+    with pytest.raises(ValueError, match="truth is not symmetric"):
+        oracle_k1(X, truth)
 
 
 def test_oracle_k1_large_sample_prefers_full_band():
