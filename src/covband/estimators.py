@@ -25,7 +25,7 @@ from .matcore import (
     TaperSpec,
     band,
     cholesky_factor,
-    load_numeric_csv,
+    load_data_csv,  # noqa: F401  (data CSV I/O lives here with save_data_csv)
     require_symmetric,
     schur_product,
     symmetrize,
@@ -46,11 +46,12 @@ def as_data_matrix(X, name: str = "data") -> np.ndarray:
 
 
 def sample_covariance(X) -> np.ndarray:
-    """Sample covariance with divisor n, columns centered by their means."""
+    """Sample covariance with divisor n, columns centered by their means;
+    exactly symmetric, as numpy runs ``Xc.T @ Xc`` as one BLAS ``syrk``."""
     A = as_data_matrix(X)
     n = A.shape[0]
     Xc = A - A.mean(axis=0)
-    return symmetrize(Xc.T @ Xc / n)
+    return Xc.T @ Xc / n
 
 
 def banded_covariance(X, k: int) -> np.ndarray:
@@ -160,11 +161,6 @@ def factors_to_matrices(f: BandedCholeskyFactors) -> tuple[np.ndarray, np.ndarra
 def cholesky_banded_covariance(X, k: int) -> np.ndarray:
     """Covariance estimate from the bandwidth-k Cholesky fit (convenience)."""
     return factors_to_matrices(fit_banded_cholesky(X, k))[1]
-
-
-def load_data_csv(path) -> np.ndarray:
-    """Read an (n, p) data matrix from CSV (no header, comma separated)."""
-    return load_numeric_csv(path)
 
 
 def save_data_csv(path, X) -> None:

@@ -6,9 +6,10 @@ module: banding, Schur products, taper weight matrices, matrix norms,
 symmetric eigendecomposition and Cholesky factorization.
 
 Matrices are plain ``numpy.ndarray`` objects.  A "symmetric matrix" here
-means a square 2-D float array with ``M[i, j] == M[j, i]`` exactly; every
-constructor in this package enforces that bit-level symmetry (by averaging
-``M`` with its transpose where needed), and consumers check it on entry.
+means a square 2-D float array with ``M[i, j] == M[j, i]`` exactly.  The
+package's constructors produce it by how they compute; a matrix from outside
+is checked once, where it enters (``require_symmetric``), and ``symmetrize``
+serves only CSV input and a Cholesky fit's precision ``W' diag(1/D) W``.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class TaperSpec:
                 f"unknown taper family {self.family!r}; expected one of {TAPER_FAMILIES}"
             )
         if self.family == "banding-indicator":
-            if self.scale < 0 or self.scale != int(self.scale):
+            if not (self.scale >= 0 and float(self.scale).is_integer()):
                 raise ValueError("banding-indicator scale must be a nonnegative integer")
         elif not self.scale > 0:
             raise ValueError(f"{self.family} taper requires scale > 0")
@@ -286,8 +287,9 @@ def is_positive_definite(M) -> bool:
     return True
 
 
-def load_numeric_csv(path) -> np.ndarray:
-    """Read a nonempty, finite 2-D array from a headerless CSV.
+def load_data_csv(path) -> np.ndarray:
+    """Read a nonempty, finite 2-D array, such as an (n, p) data matrix,
+    from a headerless CSV.
 
     Anything else (an empty file, a non-numeric field, ragged rows,
     non-finite values) raises :class:`DataFormatError` naming the file.
@@ -312,7 +314,7 @@ def load_matrix_csv(path) -> np.ndarray:
     the result is then symmetrized by averaging, so downstream code sees
     exact symmetry.
     """
-    A = load_numeric_csv(path)
+    A = load_data_csv(path)
     if A.shape[0] != A.shape[1]:
         raise DataFormatError(
             f"{path}: expected a square matrix, got shape {A.shape}"

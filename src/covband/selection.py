@@ -279,15 +279,13 @@ def _split_loss_curve(S_fit, target, ks, estimator_kind, norm) -> np.ndarray:
     """||estimate_k - target|| for every k, with the estimator built from
     the sample covariance ``S_fit``.
 
-    Banded (1,1) curves take the diagonal fast path.  Every other case
-    checks ``S_fit`` and ``target`` once here and then runs one unchecked
-    norm per bandwidth, on ``band_path`` or ``cholesky_covariance_path``
-    estimates.
+    Both matrices are exactly symmetric float arrays: sample covariances,
+    or a truth ``oracle_k1`` has checked.  Banded (1,1) curves take the
+    diagonal fast path; every other case runs one unchecked norm per
+    bandwidth, on ``band_path`` or ``cholesky_covariance_path`` estimates.
     """
     if estimator_kind == "banded" and norm == "one_one":
         return _one_one_band_curve(S_fit, target, ks)
-    S_fit = require_symmetric(S_fit, "S_fit")
-    target = require_symmetric(target, "target")
     if estimator_kind == "banded":
         estimates = band_path(S_fit, ks)
     else:

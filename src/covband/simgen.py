@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import cholesky_factor, symmetrize
+from .matcore import cholesky_factor
 
 MODEL_KINDS = ("ma1", "ar1", "fgn")
 
@@ -115,7 +115,7 @@ def build_covariance(model: CovarianceModel, p: int) -> np.ndarray:
     else:
         h2 = 2.0 * model.parameter
         S = 0.5 * ((d + 1.0) ** h2 - 2.0 * d ** h2 + np.abs(d - 1.0) ** h2)
-    return symmetrize(S)
+    return S
 
 
 def sample_gaussian(Sigma, n: int, seed) -> np.ndarray:

@@ -20,6 +20,12 @@ def run(*argv):
     return main(list(argv))
 
 
+def package_env():
+    """The environment with this covband's source tree first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(covband.__file__)))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -111,11 +117,29 @@ def test_non_utf8_counts_file_is_a_data_error(tmp_path, capsys):
     assert str(counts) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["estimate", "predict"])
+def test_infinite_indicator_bandwidth_is_a_usage_error(tmp_path, command):
+    data = tmp_path / "d.csv"
+    np.savetxt(data, np.random.default_rng(3).poisson(5.0, (12, 4)), delimiter=",")
+    out = str(tmp_path / "o.csv")
+    taper = ("--estimator", "tapered", "--taper", "banding-indicator:inf")
+    if command == "estimate":
+        argv = ("estimate", "--data", str(data), *taper, "--out", out)
+    else:
+        argv = ("predict", "--counts", str(data), "--n-train", "8", "--split", "2",
+                *taper, "--out", out)
+    result = subprocess.run([sys.executable, "-m", "covband.cli", *argv], env=package_env(),
+                            capture_output=True, text=True)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("covband: ")
+    assert "nonnegative integer" in lines[0]
+
+
 def test_importing_the_package_loads_no_scipy():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(covband.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, covband.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    result = subprocess.run([sys.executable, "-c", code], env=package_env(), capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "[]"
 
@@ -265,11 +289,8 @@ def test_bench_is_byte_deterministic(tmp_path):
 def test_bench_reproducibility_across_blas_thread_settings(tmp_path):
     # bit-identical output holds for one BLAS thread setting; across settings
     # the last digits may move, but every selected bandwidth must not
-    src = os.path.dirname(os.path.dirname(os.path.abspath(covband.__file__)))
-
     def bench(threads, out_dir):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env = {**package_env(), "OPENBLAS_NUM_THREADS": str(threads)}
         subprocess.run([sys.executable, "-m", "covband.cli", "bench",
                         "--model", "ar1:rho=0.7", "--p", "150", "--n", "60", "--reps", "2",
                         "--N", "4", "--estimator", "cholesky", "--norm", "operator",

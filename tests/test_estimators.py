@@ -63,6 +63,34 @@ def test_row_permutation_invariance_and_quadratic_scaling():
     assert_allclose(sample_covariance(3.0 * X), 9.0 * S, rtol=1e-13)
 
 
+def _layouts(X, rng):
+    """X as C-order, Fortran-order, column-strided, row-reversed and
+    fancy-indexed-row arrays (the last is what the split loop passes)."""
+    n, p = X.shape
+    wide = np.zeros((n, 2 * p))
+    wide[:, ::2] = X
+    return {
+        "C": X,
+        "F": np.asfortranarray(X),
+        "column-strided": wide[:, ::2],
+        "row-reversed": X[::-1],
+        "fancy-rows": X[rng.permutation(n)],
+    }
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "column-strided", "row-reversed", "fancy-rows"])
+def test_sample_covariance_is_exactly_symmetric(layout):
+    # no symmetrize pass: the exact symmetry every consumer relies on comes
+    # from the product itself, for every shape and memory layout
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 5, 17, 33, 67, 100, 205):
+        for p in (1, 2, 3, 7, 64, 102, 257, 1000):
+            for scale in (1e-3, 1.0, 1e3):
+                X = (rng.standard_normal((n, p)) + rng.uniform(-5, 5, p)) * scale
+                S = sample_covariance(_layouts(X, rng)[layout])
+                assert np.array_equal(S, S.T), (n, p, scale)
+
+
 def test_sample_covariance_rejects_bad_input():
     with pytest.raises(ValueError):
         sample_covariance(np.zeros((0, 3)))

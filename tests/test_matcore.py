@@ -2,6 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from covband.errors import DataFormatError, NotPositiveDefinite
@@ -174,6 +177,9 @@ def test_taper_spec_validation():
         TaperSpec("banding-indicator", 2.5)
     with pytest.raises(ValueError):
         TaperSpec("banding-indicator", -1)
+    for scale in (np.inf, np.nan):  # no OverflowError / conversion error from int()
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            TaperSpec("banding-indicator", scale)
     # integer-valued floats are accepted as bandwidths
     TaperSpec("banding-indicator", 0)
     TaperSpec("banding-indicator", 4)
@@ -411,3 +417,71 @@ def test_matrix_csv_empty_file_rejected_without_warning(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(DataFormatError, match="no data rows"):
             load_matrix_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# acceptance criterion 8's invariant suites, as hypothesis properties.  The
+# fixed criterion keeps its own instances; these draw entries directly, over
+# wider magnitudes, with tolerances relative to the matrices' size.
+# ---------------------------------------------------------------------------
+
+ENTRIES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+def square(p, elements=ENTRIES):
+    return arrays(float, (p, p), elements=elements)
+
+
+@st.composite
+def symmetric_pair(draw, max_p=14):
+    p = draw(st.integers(1, max_p))
+    return symmetrize(draw(square(p))), symmetrize(draw(square(p)))
+
+
+@given(symmetric_pair())
+def test_weyl_eigenvalue_shift_property(pair):
+    A, E = pair
+    shift = np.max(np.abs(sym_eigen(A + E).eigenvalues - sym_eigen(A).eigenvalues))
+    slack = 1e-12 * A.shape[0] * (matrix_norm(A, "frobenius") + matrix_norm(E, "frobenius"))
+    assert shift <= matrix_norm(E, "operator") + slack
+
+
+@st.composite
+def positive_definite_pair(draw):
+    """Two p x p Gram matrices G'G / m plus a ridge that keeps them positive
+    definite whatever the drawn entries (zero rows included)."""
+    p = draw(st.integers(1, 12))
+    m = p + draw(st.integers(0, 4))
+    ridge = st.floats(0.01, 1.0)
+    out = []
+    for _ in range(2):
+        G = draw(arrays(float, (m, p), elements=st.floats(-10, 10)))
+        out.append(G.T @ G / m + draw(ridge) * np.eye(p))
+    return out
+
+
+@given(positive_definite_pair())
+def test_schur_product_of_positive_definite_is_positive_definite_property(pair):
+    A, B = pair
+    assert is_positive_definite(A) and is_positive_definite(B)
+    assert is_positive_definite(schur_product(A, B))
+
+
+@given(st.integers(1, 24).flatmap(lambda p: square(p)).map(symmetrize))
+def test_operator_norm_bounded_by_one_one_norm_property(M):
+    assert matrix_norm(M, "operator") <= matrix_norm(M, "one_one") * (1 + 1e-12)
+
+
+@st.composite
+def symmetric_and_two_bandwidths(draw):
+    p = draw(st.integers(1, 11))
+    k = st.integers(0, p + 1)
+    return symmetrize(draw(square(p))), draw(k), draw(k)
+
+
+@given(symmetric_and_two_bandwidths())
+def test_band_idempotent_and_composes_by_minimum_property(case):
+    M, k1, k2 = case
+    B = band(M, k1)
+    assert np.array_equal(band(B, k1), B)
+    assert np.array_equal(band(B, k2), band(M, min(k1, k2)))

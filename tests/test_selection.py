@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from covband.errors import BandwidthTooLarge, DataFormatError, InsufficientData
@@ -134,6 +135,29 @@ def test_scale_invariance_of_the_argmin():
         b = estimate_risk(c * X, N=4, seed=trial)
         assert_array_equal(b.risk, c * c * a.risk)
         assert select_k(a).k_hat == select_k(b).k_hat
+
+
+@st.composite
+def data_seed_and_power_of_two(draw):
+    """Data whose nonzero entries lie in 1e-3..1e3 in magnitude, so no
+    product or sum on the (1,1) risk path leaves the normal range and a
+    power-of-two scaling stays exact."""
+    n, p = draw(st.integers(8, 15)), draw(st.integers(2, 5))
+    magnitude = st.floats(1e-3, 1e3)
+    entries = st.one_of(st.just(0.0), magnitude, magnitude.map(lambda v: -v))
+    X = draw(arrays(float, (n, p), elements=entries))
+    return X, draw(st.integers(0, 2**32 - 1)), 2.0 ** draw(st.integers(-3, 3))
+
+
+@given(data_seed_and_power_of_two())
+def test_selection_deterministic_and_scales_by_c_squared_property(case):
+    # acceptance criterion 8's fifth suite with drawn data
+    X, seed, c = case
+    a = estimate_risk(X, N=3, seed=seed)
+    assert_array_equal(estimate_risk(X, N=3, seed=seed).risk, a.risk)
+    scaled = estimate_risk(c * X, N=3, seed=seed)
+    assert_array_equal(scaled.risk, c * c * a.risk)
+    assert select_k(scaled).k_hat == select_k(a).k_hat
 
 
 def test_identical_rows_give_zero_risk_everywhere():
