@@ -36,20 +36,14 @@ from .bench import (
 )
 from .errors import CovbandError
 from .estimators import (
-    banded_covariance,
+    ESTIMATORS,
     factors_to_matrices,
     fit_banded_cholesky,
+    fit_covariance,
     load_data_csv,
-    sample_covariance,
     save_data_csv,
-    tapered_covariance,
 )
-from .forecast import (
-    FORECAST_ESTIMATORS,
-    TRANSFORMS,
-    run_forecast_experiment,
-    write_forecast_report,
-)
+from .forecast import TRANSFORMS, run_forecast_experiment, write_forecast_report
 from .matcore import TAPER_FAMILIES, TaperSpec, save_matrix_csv
 from .selection import (
     ESTIMATOR_KINDS,
@@ -87,9 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="fit one estimator to a data CSV")
     p_est.add_argument("--data", required=True, help="data CSV, rows = observations")
-    p_est.add_argument(
-        "--estimator", required=True, choices=("sample", "banded", "tapered", "cholesky")
-    )
+    p_est.add_argument("--estimator", required=True, choices=ESTIMATORS)
     p_est.add_argument("--k", type=int, help="bandwidth (banded/cholesky)")
     p_est.add_argument("--taper", help=f"FAMILY:SCALE with family in {TAPER_FAMILIES}")
     p_est.add_argument("--out", required=True, help="covariance estimate CSV path")
@@ -131,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--counts", required=True, help="counts CSV, rows = days")
     p_pre.add_argument("--n-train", type=int, required=True)
     p_pre.add_argument("--split", type=int, required=True)
-    p_pre.add_argument("--estimator", default="cholesky", choices=FORECAST_ESTIMATORS)
+    p_pre.add_argument("--estimator", default="cholesky", choices=ESTIMATORS)
     p_pre.add_argument("--k", default="auto", help="bandwidth, or 'auto' to select")
     p_pre.add_argument("--taper", help=f"FAMILY:SCALE with family in {TAPER_FAMILIES}")
     p_pre.add_argument("--transform", default="sqrt_quarter", choices=TRANSFORMS)
@@ -168,23 +160,11 @@ def _cmd_estimate(args) -> int:
     X = load_data_csv(args.data)
     if args.precision_out and args.estimator != "cholesky":
         raise ValueError("--precision-out is only available with --estimator cholesky")
-    if args.estimator == "sample":
-        S = sample_covariance(X)
-    elif args.estimator == "banded":
-        if args.k is None:
-            raise ValueError("--estimator banded requires --k")
-        S = banded_covariance(X, args.k)
-    elif args.estimator == "tapered":
-        if args.taper is None:
-            raise ValueError("--estimator tapered requires --taper FAMILY:SCALE")
-        S = tapered_covariance(X, parse_taper(args.taper))
-    else:
-        if args.k is None:
-            raise ValueError("--estimator cholesky requires --k")
-        factors = fit_banded_cholesky(X, args.k)
-        precision, S = factors_to_matrices(factors)
-        if args.precision_out:
-            save_matrix_csv(args.precision_out, precision)
+    taper = None if args.taper is None else parse_taper(args.taper)
+    S = fit_covariance(X, args.estimator, k=args.k, taper=taper)
+    if args.precision_out:  # only the precision needs the factors themselves
+        precision = factors_to_matrices(fit_banded_cholesky(X, args.k))[0]
+        save_matrix_csv(args.precision_out, precision)
     save_matrix_csv(args.out, S)
     print(f"wrote {args.estimator} covariance estimate to {args.out}")
     return 0

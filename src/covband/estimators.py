@@ -1,6 +1,7 @@
 """Regularized covariance estimators.
 
-Three estimators of a p x p covariance from an (n, p) data matrix:
+Three estimators of a p x p covariance from an (n, p) data matrix; these and
+``sample`` are the :data:`ESTIMATORS` that :func:`fit_covariance` fits by name:
 
 * ``banded_covariance`` -- zero the sample covariance beyond bandwidth k;
 * ``tapered_covariance`` -- Schur-multiply the sample covariance by a
@@ -31,6 +32,8 @@ from .matcore import (
     symmetrize,
     taper_weights,
 )
+
+ESTIMATORS = ("sample", "banded", "tapered", "cholesky")
 
 
 def as_data_matrix(X, name: str = "data") -> np.ndarray:
@@ -118,16 +121,10 @@ def fit_banded_cholesky(X, k: int) -> BandedCholeskyFactors:
     the residual variance is the Schur complement.  Requires k <= n - 2 so
     the largest regression stays nondegenerate.
     """
-    X = as_data_matrix(X)
-    n, p = X.shape
-    k = int(k)
-    if k < 0:
-        raise ValueError("bandwidth k must be >= 0")
-    if k > n - 2:
-        raise BandwidthTooLarge(f"bandwidth k={k} needs n >= k + 2 observations, got n={n}")
+    X, k = _cholesky_input(X, k)
     coef, D = _band_regressions(sample_covariance(X), [k])
     rows, i = np.nonzero(coef[0])
-    A = np.zeros((p, p))
+    A = np.zeros((X.shape[1], X.shape[1]))
     A[rows, rows - 1 - i] = coef[0, rows, i]
     return BandedCholeskyFactors(k=k, A=A, D=D[0])
 
@@ -159,8 +156,27 @@ def factors_to_matrices(f: BandedCholeskyFactors) -> tuple[np.ndarray, np.ndarra
 
 
 def cholesky_banded_covariance(X, k: int) -> np.ndarray:
-    """Covariance estimate from the bandwidth-k Cholesky fit (convenience)."""
-    return factors_to_matrices(fit_banded_cholesky(X, k))[1]
+    """Covariance of the bandwidth-k Cholesky fit, built without A or the precision."""
+    X, k = _cholesky_input(X, k)
+    return cholesky_covariance_path(sample_covariance(X), [k])[0]
+
+
+def fit_covariance(X, kind, k: int | None = None, taper: TaperSpec | None = None) -> np.ndarray:
+    """Covariance estimate of the estimator named ``kind`` in :data:`ESTIMATORS`;
+    ``banded`` and ``cholesky`` need ``k``, ``tapered`` needs ``taper``."""
+    if kind not in ESTIMATORS:
+        raise ValueError(f"estimator must be one of {ESTIMATORS}, got {kind!r}")
+    if kind == "sample":
+        return sample_covariance(X)
+    if kind == "tapered":
+        if taper is None:
+            raise ValueError("--estimator tapered requires --taper FAMILY:SCALE")
+        return tapered_covariance(X, taper)
+    if k is None:
+        raise ValueError(f"--estimator {kind} requires --k")
+    if kind == "banded":
+        return banded_covariance(X, k)
+    return cholesky_banded_covariance(X, k)
 
 
 def save_data_csv(path, X) -> None:
@@ -175,6 +191,17 @@ def save_data_csv(path, X) -> None:
 # coefficient of coordinate j on its predecessor j - 1 - i, so a
 # bandwidth-m regression fills the leading m entries of its row.
 # ---------------------------------------------------------------------------
+
+
+def _cholesky_input(X, k) -> tuple[np.ndarray, int]:
+    """Validated data matrix and bandwidth of a Cholesky fit, 0 <= k <= n - 2."""
+    X = as_data_matrix(X)
+    k, n = int(k), X.shape[0]
+    if k < 0:
+        raise ValueError("bandwidth k must be >= 0")
+    if k > n - 2:
+        raise BandwidthTooLarge(f"bandwidth k={k} needs n >= k + 2 observations, got n={n}")
+    return X, k
 
 
 def _band_regressions(S, ks) -> tuple[np.ndarray, np.ndarray]:

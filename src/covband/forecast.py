@@ -10,9 +10,10 @@ forecast errors over a test set.
 
 :func:`forecast_workflow` (and its CSV front end
 :func:`run_forecast_experiment`) runs the whole pipeline: fit a covariance
-estimator on the leading training rows, predict the back half of each test
-row from its front half, and report per-coordinate mean absolute errors
-next to the sample-covariance baseline.
+estimator (by name, through :func:`covband.estimators.fit_covariance`) on
+the leading training rows, predict the back half of each test row from its
+front half, and report per-coordinate mean absolute errors next to the
+sample-covariance baseline.
 """
 
 from __future__ import annotations
@@ -23,16 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, NotPositiveDefinite, SingularBlock
-from .estimators import banded_covariance, cholesky_banded_covariance, sample_covariance
-from .matcore import (
-    TaperSpec,
-    cholesky_factor,
-    require_symmetric,
-    schur_product,
-    single_blas_thread,
-    taper_weights,
-)
-from .selection import estimate_risk, select_k
+from .estimators import ESTIMATORS, fit_covariance
+from .matcore import TaperSpec, cholesky_factor, require_symmetric, single_blas_thread
+from .selection import ESTIMATOR_KINDS, estimate_risk, select_k
 
 TRANSFORMS = ("sqrt_quarter", "none")
 
@@ -123,7 +117,7 @@ def ingest_counts(path, transform: str = "sqrt_quarter") -> np.ndarray:
     rows: list[list[float]] = []
     header_skipped = False
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a leading BOM
             for lineno, fields in enumerate(csv.reader(fh), start=1):
                 if not fields or all(f.strip() == "" for f in fields):
                     continue
@@ -185,9 +179,6 @@ def _solve_block(S11, B) -> np.ndarray:
 # Forecasting workflow
 # ---------------------------------------------------------------------------
 
-FORECAST_ESTIMATORS = ("sample", "banded", "tapered", "cholesky")
-
-
 @dataclass(frozen=True)
 class ForecastOutcome:
     """Per-coordinate forecast errors of a chosen estimator and the baseline."""
@@ -237,23 +228,16 @@ def forecast_workflow(
         raise ValueError(f"n_train must be in 1..{n - 1}, got {n_train}")
     if not 1 <= split < p:
         raise ValueError(f"split must be in 1..{p - 1}, got {split}")
-    if estimator_kind not in FORECAST_ESTIMATORS:
-        raise ValueError(f"estimator must be one of {FORECAST_ESTIMATORS}")
+    if estimator_kind not in ESTIMATORS:
+        raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator_kind!r}")
     # as in estimate_risk: one BLAS thread keeps the Cholesky path steady
     with single_blas_thread(estimator_kind == "cholesky"):
         train = X[:n_train]
         test = X[n_train:]
         mu = train.mean(axis=0)
-        S = sample_covariance(train)
 
         selected_k: int | None = None
-        if estimator_kind == "sample":
-            S_est = S
-        elif estimator_kind == "tapered":
-            if taper is None:
-                raise ValueError("tapered estimator requires a TaperSpec")
-            S_est = schur_product(S, taper_weights(taper, p))
-        else:
+        if estimator_kind in ESTIMATOR_KINDS:
             if k == "auto":
                 if seed is None:
                     raise ValueError("k='auto' requires a seed for the resampling splits")
@@ -263,10 +247,10 @@ def forecast_workflow(
                 selected_k = select_k(curve).k_hat
             else:
                 selected_k = int(k)
-            S_est = _fit_regularized(train, estimator_kind, selected_k)
+        S_est = fit_covariance(train, estimator_kind, k=selected_k, taper=taper)
 
         errors = _prediction_errors(S_est, mu, split, test)
-        baseline = _prediction_errors(S, mu, split, test)
+        baseline = _prediction_errors(fit_covariance(train, "sample"), mu, split, test)
     return ForecastOutcome(
         estimator_kind=estimator_kind,
         selected_k=selected_k,
@@ -297,12 +281,6 @@ def run_forecast_experiment(
         X, n_train, split, estimator_kind, k=k, taper=taper,
         N=N, n1=n1, norm=norm, seed=seed,
     )
-
-
-def _fit_regularized(train, kind, k):
-    if kind == "banded":
-        return banded_covariance(train, k)
-    return cholesky_banded_covariance(train, k)
 
 
 def _prediction_errors(S_est, mu, split, test):

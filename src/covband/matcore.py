@@ -289,7 +289,7 @@ def is_positive_definite(M) -> bool:
 
 def load_data_csv(path) -> np.ndarray:
     """Read a nonempty, finite 2-D array, such as an (n, p) data matrix,
-    from a headerless CSV.
+    from a headerless UTF-8 CSV (a leading byte-order mark is skipped).
 
     Anything else (an empty file, a non-numeric field, ragged rows,
     non-finite values) raises :class:`DataFormatError` naming the file.
@@ -297,7 +297,7 @@ def load_data_csv(path) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # empty input; reported below
         try:
-            A = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+            A = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float, encoding="utf-8-sig")
         except ValueError as exc:
             raise DataFormatError(f"{path}: {exc}") from None
     if A.size == 0:

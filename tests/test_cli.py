@@ -81,7 +81,7 @@ def test_linear_algebra_failures_are_data_errors(tmp_path, monkeypatch, capsys):
     def fail(X):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr("covband.cli.sample_covariance", fail)
+    monkeypatch.setattr("covband.estimators.sample_covariance", fail)
     data = tmp_path / "d.csv"
     np.savetxt(data, np.random.default_rng(2).standard_normal((10, 3)), delimiter=",")
     code = run("estimate", "--data", str(data), "--estimator", "sample",
@@ -352,6 +352,18 @@ def test_predict_rejects_non_integer_bandwidth(tmp_path, counts_file):
     code = run("predict", "--counts", str(counts_file), "--n-train", "45",
                "--split", "5", "--k", "few", "--out", str(tmp_path / "fc.csv"))
     assert code == 1
+
+
+def test_missing_estimator_arguments_name_their_flags(tmp_path, counts_file, capsys):
+    out = str(tmp_path / "o.csv")
+    assert run("predict", "--counts", str(counts_file), "--n-train", "45", "--split", "5",
+               "--estimator", "tapered", "--out", out) == 1
+    assert "--taper" in capsys.readouterr().err
+    data = tmp_path / "d.csv"
+    np.savetxt(data, np.random.default_rng(3).standard_normal((10, 3)), delimiter=",")
+    for kind in ("banded", "cholesky"):
+        assert run("estimate", "--data", str(data), "--estimator", kind, "--out", out) == 1
+        assert "--k" in capsys.readouterr().err
 
 
 def test_predict_sample_estimator_matches_baseline(tmp_path, counts_file):

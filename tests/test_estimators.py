@@ -4,12 +4,14 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from covband.errors import BandwidthTooLarge, DataFormatError, SingularDesign
 from covband.estimators import (
+    ESTIMATORS,
     BandedCholeskyFactors,
     banded_covariance,
     cholesky_banded_covariance,
     cholesky_covariance_path,
     factors_to_matrices,
     fit_banded_cholesky,
+    fit_covariance,
     load_data_csv,
     sample_covariance,
     save_data_csv,
@@ -232,6 +234,14 @@ def test_covariance_path_matches_single_fits():
         assert_allclose(C, cholesky_banded_covariance(X, min(k, 24)), rtol=1e-12, atol=1e-14)
 
 
+def test_covariance_is_exactly_that_of_the_factors():
+    # the covariance-only path skips A and the precision, not a single bit
+    for X in (_long_memory(60, 25), _mixed_gaussian(40, 7)):
+        for k in range(X.shape[1] + 3):
+            C = factors_to_matrices(fit_banded_cholesky(X, k))[1]
+            assert np.array_equal(cholesky_banded_covariance(X, k), C), k
+
+
 def test_residual_variance_nonincreasing_in_k():
     rng = np.random.default_rng(10)
     X = rng.standard_normal((60, 8)) @ rng.standard_normal((8, 8))
@@ -337,3 +347,40 @@ def test_data_csv_rejects_nonfinite(tmp_path):
     path.write_text("1.0,2.0\ninf,0.0\n")
     with pytest.raises(DataFormatError):
         load_data_csv(path)
+
+
+def test_data_csv_strips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"\xef\xbb\xbf1,2,3\n4,5,6\n7,8,9\n")
+    assert_array_equal(load_data_csv(path), [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+
+
+# ---------------------------------------------------------------------------
+# dispatch by estimator name
+# ---------------------------------------------------------------------------
+
+
+def test_fit_covariance_is_each_named_estimator():
+    X = _mixed_gaussian(40, 7)
+    t = TaperSpec("triangular", 3.0)
+    expected = {
+        "sample": sample_covariance(X),
+        "banded": banded_covariance(X, 2),
+        "tapered": tapered_covariance(X, t),
+        "cholesky": cholesky_banded_covariance(X, 2),
+    }
+    assert tuple(expected) == ESTIMATORS
+    for kind, S in expected.items():
+        assert np.array_equal(fit_covariance(X, kind, k=2, taper=t), S), kind
+
+
+def test_fit_covariance_rejects_unknown_kinds_and_missing_arguments():
+    X = _mixed_gaussian(40, 7)
+    with pytest.raises(ValueError) as info:
+        fit_covariance(X, "shrunk", k=2)
+    assert str(ESTIMATORS) in str(info.value)
+    with pytest.raises(ValueError, match="--taper"):
+        fit_covariance(X, "tapered", k=2)
+    for kind in ("banded", "cholesky"):
+        with pytest.raises(ValueError, match="--k"):
+            fit_covariance(X, kind, taper=TaperSpec("triangular", 3.0))

@@ -180,6 +180,15 @@ def test_ingest_without_header(tmp_path):
     assert_array_equal(ingest_counts(path, "none"), [[1.0, 2.0], [3.0, 4.0]])
 
 
+def test_ingest_strips_a_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with a BOM; it must not hide day 1
+    path = tmp_path / "counts.csv"
+    path.write_bytes(b"\xef\xbb\xbf1,2,3\n4,5,6\n7,8,9\n")
+    assert_array_equal(ingest_counts(path, "none"), [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    path.write_bytes(b"\xef\xbb\xbfa,b,c\n4,5,6\n7,8,9\n")
+    assert_array_equal(ingest_counts(path, "none"), [[4, 5, 6], [7, 8, 9]])
+
+
 def test_ingest_skips_blank_lines(tmp_path):
     path = tmp_path / "counts.csv"
     path.write_text("\nday,night\n1,2\n\n3,4\n")

@@ -1,0 +1,47 @@
+"""Package-wide rules: module boundaries and the README's API names."""
+
+import ast
+import importlib
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE_DIR = ROOT / "src" / "covband"
+README = ROOT / "README.md"
+
+
+def test_no_module_imports_another_modules_private_names():
+    assert PACKAGE_DIR.is_dir()
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("covband"):
+                continue  # a third-party import
+            offenders += [f"{path.name}:{node.lineno} {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert offenders == []
+
+
+def _readme_module_table():
+    """(module, backticked names) per row of the README's module table.
+
+    A parenthesised list of backticked values right after a name, such as
+    the norms of ``matrix_norm``, names values, not API, and is left out.
+    """
+    rows = re.findall(r"^\| `(covband\.\w+)` \| (.+) \|$", README.read_text(encoding="utf-8"),
+                      flags=re.MULTILINE)
+    value_list = re.compile(r"(`\w+`) \((?:`\w+`(?:, )?)+\)")
+    return [(module, re.findall(r"`(\w+)`", value_list.sub(r"\1", text)))
+            for module, text in rows]
+
+
+def test_readme_module_table_names_exist():
+    table = _readme_module_table()
+    assert len(table) == 9
+    missing = [f"{module}.{name}" for module, names in table
+               for name in names
+               if name != "covband"  # the command in the cli row
+               and not hasattr(importlib.import_module(module), name)]
+    assert missing == []
