@@ -252,7 +252,7 @@ def read_experiment_report(path):
     records: list[ReplicationRecord] = []
     saw_header = False
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:

@@ -159,8 +159,9 @@ def matrix_norm(M, which: str = "operator") -> float:
     """Matrix norm of a symmetric matrix.
 
     ``operator``
-        Largest absolute eigenvalue (spectral norm), from the eigenvalues
-        alone (``numpy.linalg.eigvalsh``).
+        Largest absolute eigenvalue (spectral norm), from the full
+        spectrum (``numpy.linalg.eigvalsh``).  This is the reference the
+        selection loss's Lanczos norm is tested against.
     ``one_one``
         Maximum absolute column sum (the l1 -> l1 induced norm; for
         symmetric input this coincides with the max row sum).

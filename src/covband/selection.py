@@ -4,7 +4,10 @@ The data-driven bandwidth is picked by splitting the sample N times at
 random into groups of size n1 and n2, fitting the regularized estimator on
 group 1, measuring its distance to the plain sample covariance of group 2,
 averaging over splits, and minimizing over the bandwidth grid
-(:func:`estimate_risk` / :func:`select_k`).
+(:func:`estimate_risk` / :func:`select_k`).  In the operator norm each
+bandwidth's loss comes from Lanczos iteration on the difference matrix,
+from a fixed start vector, with ``numpy.linalg.eigvalsh`` as the fallback
+for small matrices and for an iteration that does not converge.
 
 Two oracle quantities calibrate that choice: :func:`oracle_k1` minimizes
 the realized loss of one sample against the true covariance, and
@@ -139,8 +142,12 @@ def estimate_risk(
     ks = _check_k_grid(k_grid, p, estimator_kind, n1, "n1")
 
     total = np.zeros(ks.size)
-    # the Cholesky path is many small products: one BLAS thread keeps it steady
-    with single_blas_thread(estimator_kind == "cholesky"):
+    # The Cholesky path and the Lanczos operator norm are many small
+    # products, which a second BLAS thread does not speed up.  The cap
+    # covers the sample covariances too: after each threaded product an
+    # idle OpenBLAS thread spins for about 0.1 s, which nearly doubled the
+    # CPU time of an operator-norm curve.
+    with single_blas_thread(estimator_kind == "cholesky" or norm == "operator"):
         for nu in range(N):
             perm = substream(seed, nu).permutation(n)
             S1 = sample_covariance(X[perm[:n1]])
@@ -178,7 +185,8 @@ def oracle_k1(X, truth, k_grid=None, estimator_kind: str = "banded",
         raise ValueError(f"truth must be {p} x {p}, got {truth.shape}")
     _check_kind_norm(estimator_kind, norm)
     ks = _check_k_grid(k_grid, p, estimator_kind, n, "n")
-    losses = _split_loss_curve(sample_covariance(X), truth, ks, estimator_kind, norm)
+    with single_blas_thread(norm == "operator"):  # see estimate_risk
+        losses = _split_loss_curve(sample_covariance(X), truth, ks, estimator_kind, norm)
     curve = RiskCurve(
         k_grid=ks, risk=losses, estimator_kind=estimator_kind,
         N=None, n1=None, n2=None, norm=norm, seed=None,
@@ -250,7 +258,7 @@ def read_risk_curve(path) -> tuple[np.ndarray, np.ndarray, int | None]:
     """
     ks, rs, k_hat = [], [], None
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             header = fh.readline().strip()
             if header != "k,risk":
                 raise DataFormatError(f"{path}: expected header 'k,risk', got {header!r}")
@@ -281,8 +289,10 @@ def _split_loss_curve(S_fit, target, ks, estimator_kind, norm) -> np.ndarray:
 
     Both matrices are exactly symmetric float arrays: sample covariances,
     or a truth ``oracle_k1`` has checked.  Banded (1,1) curves take the
-    diagonal fast path; every other case runs one unchecked norm per
-    bandwidth, on ``band_path`` or ``cholesky_covariance_path`` estimates.
+    diagonal fast path; every other case takes one norm per bandwidth, on
+    ``band_path`` or ``cholesky_covariance_path`` estimates.  The operator
+    norm is :func:`_spectral_norm` (Lanczos from a fixed start, falling
+    back to ``eigvalsh``), the (1,1) norm ``unchecked_norm``.
     """
     if estimator_kind == "banded" and norm == "one_one":
         return _one_one_band_curve(S_fit, target, ks)
@@ -290,8 +300,81 @@ def _split_loss_curve(S_fit, target, ks, estimator_kind, norm) -> np.ndarray:
         estimates = band_path(S_fit, ks)
     else:
         estimates = cholesky_covariance_path(S_fit, ks)
+    loss = _spectral_norm if norm == "operator" else lambda A: unchecked_norm(A, norm)
     # every estimate is a fresh array, so it can hold its own difference
-    return np.array([unchecked_norm(np.subtract(E, target, out=E), norm) for E in estimates])
+    return np.array([loss(np.subtract(E, target, out=E)) for E in estimates])
+
+
+# Lanczos operator norm: eigvalsh below _LANCZOS_MIN_P, where it was as fast
+# (crossover p = 176..208 for AR(1) split differences at k <= 29, 2 vCPUs),
+# and after _LANCZOS_MAX_STEPS steps without convergence (those splits took
+# 48..56 steps at p = 400 and at p = 1000).
+_LANCZOS_MIN_P = 192
+_LANCZOS_MAX_STEPS = 160
+# each convergence test is a dense eigh of T, so test sparsely
+_LANCZOS_FIRST_TEST = 24
+_LANCZOS_TEST_EVERY = 8
+_RITZ_RTOL = 1e-13
+_BREAKDOWN_RTOL = 1e-13
+
+
+def _spectral_norm(A: np.ndarray) -> float:
+    """max |eigenvalue| of the symmetric float array ``A``, by Lanczos.
+
+    Lanczos with full reorthogonalization (Lanczos 1950; Paige 1972) from
+    one fixed pseudo-random start vector per dimension, so the value is a
+    function of ``A`` alone.  The start is never ``ones``: the Toeplitz
+    truths have skew-symmetric eigenvectors, which are orthogonal to it.
+    Convergence is tested on both extreme Ritz values theta_min and
+    theta_max of the tridiagonal T, with top = max |theta|.  Each lies
+    within its residual r = beta_m |s_m| of an eigenvalue of ``A``
+    (Parlett, *The Symmetric Eigenvalue Problem*).  The end that gives
+    top must have r <= ``_RITZ_RTOL`` * top.  The other end only needs
+    r <= top - |theta|, so that its eigenvalue cannot exceed top; a test
+    of the top end alone could stop at lambda_max = 10 when lambda_min is
+    -10.5.  The quadratic bound r**2 / gap is not used: the gap to the
+    neighbouring Ritz value overstates the true gap while a close pair
+    of extreme eigenvalues is still unresolved.  A beta below
+    ``_BREAKDOWN_RTOL`` times the largest |alpha| or beta seen means the
+    Krylov space is invariant, and its Ritz values are exact.  Small
+    matrices and iterations that reach the step cap get the ``eigvalsh``
+    value instead.  Its callers run it on one BLAS thread, which at p=400
+    does these matrix-vector products as fast as two.
+    """
+    p = A.shape[0]
+    if p < _LANCZOS_MIN_P:
+        return unchecked_norm(A, "operator")
+    m_max = min(p, _LANCZOS_MAX_STEPS)
+    Q = np.empty((m_max + 1, p))
+    Q[0] = np.random.default_rng(p).standard_normal(p)
+    Q[0] /= np.sqrt(Q[0] @ Q[0])
+    alpha = np.empty(m_max)
+    beta = np.empty(m_max)
+    scale = 0.0  # largest |alpha| or beta so far, a lower bound on ||A||
+    for j in range(m_max):
+        w = A @ Q[j]
+        alpha[j] = Q[j] @ w
+        w -= alpha[j] * Q[j]
+        if j:
+            w -= beta[j - 1] * Q[j - 1]
+        w -= Q[: j + 1].T @ (Q[: j + 1] @ w)
+        beta[j] = np.sqrt(w @ w)
+        scale = max(scale, abs(alpha[j]), beta[j])
+        m = j + 1
+        invariant = beta[j] <= _BREAKDOWN_RTOL * scale
+        if invariant or (m >= _LANCZOS_FIRST_TEST
+                         and (m - _LANCZOS_FIRST_TEST) % _LANCZOS_TEST_EVERY == 0):
+            off = beta[: m - 1]
+            theta, s = np.linalg.eigh(np.diag(alpha[:m]) + np.diag(off, 1) + np.diag(off, -1))
+            ends = np.abs(theta[[0, -1]])
+            top = ends.max()
+            if invariant:
+                return float(top)
+            r = beta[j] * np.abs(s[-1, [0, -1]])
+            if np.all(r <= np.maximum(_RITZ_RTOL * top, top - ends)):
+                return float(top)
+        Q[m] = w / beta[j]
+    return unchecked_norm(A, "operator")
 
 
 def _one_one_band_curve(S, T, ks) -> np.ndarray:

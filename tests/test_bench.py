@@ -195,6 +195,17 @@ def test_report_round_trip(tmp_path):
         assert s == pytest.approx(emitted[name][1], abs=1e-15)
 
 
+def test_report_reader_strips_a_byte_order_mark(tmp_path):
+    report = run_simulation_experiment(small_spec())
+    path = tmp_path / "report.csv"
+    write_experiment_report(path, report)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    spec_text, k0, _, records = read_experiment_report(path)
+    assert parse_spec(spec_text) == report.spec
+    assert k0 == report.k0
+    assert records == report.records
+
+
 def test_report_emission_is_byte_identical(tmp_path):
     spec = small_spec()
     p1 = tmp_path / "a.csv"

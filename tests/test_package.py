@@ -1,9 +1,13 @@
-"""Package-wide rules: module boundaries and the README's API names."""
+"""Package-wide rules: module boundaries, the README's API names and the
+numpy-only install."""
 
 import ast
 import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE_DIR = ROOT / "src" / "covband"
@@ -45,3 +49,22 @@ def test_readme_module_table_names_exist():
                if name != "covband"  # the command in the cli row
                and not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def test_package_runs_without_scipy():
+    # the package depends on numpy alone: importing it and selecting a
+    # bandwidth in the operator norm (Lanczos size) must not need scipy
+    script = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+import covband
+from covband.selection import estimate_risk
+X = np.random.default_rng(0).standard_normal((12, 240))
+curve = estimate_risk(X, k_grid=[0, 2, 5], N=2, norm="operator")
+assert np.all(np.isfinite(curve.risk))
+"""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

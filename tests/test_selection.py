@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,12 +8,19 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from covband.errors import BandwidthTooLarge, DataFormatError, InsufficientData
-from covband.estimators import cholesky_banded_covariance, sample_covariance
+from covband.estimators import (
+    cholesky_banded_covariance,
+    cholesky_covariance_path,
+    sample_covariance,
+)
 from covband.matcore import band, matrix_norm, symmetrize
 from covband.selection import (
+    ESTIMATOR_KINDS,
     RiskCurve,
     SelectionResult,
+    _LANCZOS_MIN_P,
     _one_one_band_curve,
+    _spectral_norm,
     default_k_grid,
     estimate_risk,
     log_split_size,
@@ -260,6 +269,78 @@ def test_cholesky_risk_matches_definitional_evaluation():
     assert np.max(np.abs(curve.risk - expected)) <= 1e-10
 
 
+def _estimates(S, kind, ks):
+    """Each bandwidth's estimate from S, one k at a time."""
+    if kind == "banded":
+        return [band(S, k) for k in ks]
+    return [cholesky_covariance_path(S, [k])[0] for k in ks]
+
+
+# for p = 240, above the Lanczos threshold; the cholesky grid stays within k <= n1 - 2
+OPERATOR_GRIDS = {"banded": [0, 1, 3, 10, 40, 239, 250], "cholesky": [0, 1, 2, 5, 11]}
+
+
+@pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+def test_operator_risk_matches_eigvalsh_per_bandwidth(kind):
+    from covband.simgen import substream
+
+    n, p, n1, N, seed = 40, 240, 13, 3, 79
+    X = sample_gaussian(build_covariance(CovarianceModel("ar1", 0.7), p), n, 13)
+    ks = OPERATOR_GRIDS[kind]
+    curve = estimate_risk(X, k_grid=ks, estimator_kind=kind, N=N, n1=n1,
+                          norm="operator", seed=seed)
+    expected = np.zeros(len(ks))
+    for nu in range(N):
+        perm = substream(seed, nu).permutation(n)
+        S2 = sample_covariance(X[perm[n1:]])
+        expected += [matrix_norm(E - S2, "operator")
+                     for E in _estimates(sample_covariance(X[perm[:n1]]), kind, ks)]
+    assert_allclose(curve.risk, expected / N, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+def test_operator_oracle_k1_matches_eigvalsh_per_bandwidth(kind):
+    p = 240
+    truth = build_covariance(CovarianceModel("fgn", 0.8), p)
+    X = sample_gaussian(truth, 14, 14)
+    ks = OPERATOR_GRIDS[kind]
+    result = oracle_k1(X, truth, ks, kind, "operator")
+    expected = [matrix_norm(E - truth, "operator")
+                for E in _estimates(sample_covariance(X), kind, ks)]
+    assert_allclose(result.curve.risk, expected, rtol=1e-12, atol=0)
+    assert result.k_hat == ks[int(np.argmin(expected))]
+
+
+def test_operator_curves_take_sample_covariances_on_one_blas_thread():
+    # a threaded product before each Lanczos run leaves an OpenBLAS thread
+    # spinning beside it, so the whole operator-norm curve runs capped
+    from covband import selection
+    from covband.matcore import _openblas_threads
+
+    threads = _openblas_threads()
+    if threads is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    get, set_ = threads
+    seen = []
+
+    def recording(X):
+        seen.append(get())
+        return sample_covariance(X)
+
+    X = np.random.default_rng(15).standard_normal((12, 6))
+    before = get()
+    set_(2)
+    try:
+        with mock.patch.object(selection, "sample_covariance", recording):
+            estimate_risk(X, N=2, norm="operator", seed=0)
+            oracle_k1(X, np.eye(6), norm="operator")
+            assert seen == [1] * 5
+            estimate_risk(X, N=1, seed=0)
+            assert seen[5:] == [2, 2]
+    finally:
+        set_(before)
+
+
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
@@ -384,6 +465,18 @@ def test_risk_curve_csv_round_trip(tmp_path):
     assert k_hat == 1
 
 
+def test_risk_curve_csv_strips_a_byte_order_mark(tmp_path):
+    # a curve re-saved by a spreadsheet starts with a BOM
+    curve = make_curve([0, 1, 2], [2.5, 0.125, 1.0 / 3.0])
+    path = tmp_path / "curve.csv"
+    write_risk_curve(path, curve, k_hat=1)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    ks, risks, k_hat = read_risk_curve(path)
+    assert_array_equal(ks, curve.k_grid)
+    assert_array_equal(risks, curve.risk)
+    assert k_hat == 1
+
+
 def test_risk_curve_csv_without_selection(tmp_path):
     curve = make_curve([0, 1], [1.0, 2.0])
     path = tmp_path / "curve.csv"
@@ -407,3 +500,90 @@ def test_risk_curve_csv_malformed_line_names_file_and_line(tmp_path, body):
     path.write_text("k,risk\n" + body)
     with pytest.raises(DataFormatError, match="curve.csv:3: malformed line"):
         read_risk_curve(path)
+
+
+# ---------------------------------------------------------------------------
+# operator norm by Lanczos
+# ---------------------------------------------------------------------------
+
+# p just below and just above the eigvalsh fallback threshold, and one more
+LANCZOS_DIMS = [_LANCZOS_MIN_P - 1, _LANCZOS_MIN_P, _LANCZOS_MIN_P + 33]
+
+
+def assert_spectral_norm_is_eigvalsh(A, converges=False):
+    """_spectral_norm(A) is max |eigvalsh(A)| to 1e-12; with ``converges``,
+    a matrix of Lanczos size must get there without the eigvalsh fallback."""
+    expected = np.max(np.abs(np.linalg.eigvalsh(A)))
+    if converges and A.shape[0] >= _LANCZOS_MIN_P:
+        with mock.patch("covband.selection.unchecked_norm",
+                        side_effect=AssertionError("fell back to eigvalsh")):
+            value = _spectral_norm(A)
+    else:
+        value = _spectral_norm(A)
+    assert_allclose(value, expected, rtol=1e-12, atol=0)
+
+
+def with_spectrum(eigenvalues, rng, persymmetric=False):
+    """V diag(eigenvalues) V' for a random orthogonal V.  ``persymmetric``
+    makes V's first column skew-symmetric (so orthogonal to ones) and
+    every column symmetric or skew-symmetric, as a Toeplitz matrix's are."""
+    p = len(eigenvalues)
+    M = rng.standard_normal((p, p))
+    if persymmetric:
+        half = p // 2
+        M[:, :half] -= M[::-1, :half]
+        M[:, half:] += M[::-1, half:]
+    V, _ = np.linalg.qr(M)  # Gram-Schmidt keeps each column's parity
+    return symmetrize((V * eigenvalues) @ V.T)
+
+
+@given(st.sampled_from(LANCZOS_DIMS), st.sampled_from(["ma1", "ar1", "fgn"]),
+       st.floats(0.05, 0.95), st.integers(0, 60))
+def test_spectral_norm_of_banded_model_truth_errors(p, kind, value, k):
+    # band(Sigma, k) - Sigma is symmetric Toeplitz, hence persymmetric
+    value = 0.5 + value / 2 if kind == "fgn" else value
+    Sigma = build_covariance(CovarianceModel(kind, value), p)
+    assert_spectral_norm_is_eigvalsh(band(Sigma, k) - Sigma)
+
+
+@given(st.sampled_from(LANCZOS_DIMS), st.integers(0, 2**32 - 1), st.floats(0.0, 2.0))
+def test_spectral_norm_of_random_toeplitz_matrices(p, seed, decay):
+    column = np.random.default_rng(seed).standard_normal(p) * np.exp(-decay * np.arange(p))
+    assert_spectral_norm_is_eigvalsh(column[np.abs(np.subtract.outer(np.arange(p), np.arange(p)))])
+
+
+@given(st.sampled_from(LANCZOS_DIMS), st.integers(0, 2**32 - 1), st.booleans())
+def test_spectral_norm_when_the_extreme_eigenvector_is_orthogonal_to_ones(p, seed, negative):
+    rng = np.random.default_rng(seed)
+    eigenvalues = np.concatenate([[-5.0 if negative else 5.0], rng.uniform(-1, 1, p - 1)])
+    A = with_spectrum(eigenvalues, rng, persymmetric=True)
+    assert_allclose(A, A[::-1, ::-1], rtol=0, atol=1e-12)
+    assert abs(np.linalg.eigh(A)[1][:, 0 if negative else -1].sum()) < 1e-8
+    assert_spectral_norm_is_eigvalsh(A, converges=True)
+
+
+@given(st.sampled_from(LANCZOS_DIMS), st.integers(0, 2**32 - 1), st.floats(1e-9, 5e-2))
+def test_spectral_norm_with_opposite_extremes_of_near_equal_size(p, seed, excess):
+    # lambda_max = 10 is isolated and converges first; lambda_min, just
+    # beyond -10, sits at the edge of the bulk and converges later.  A rule
+    # that stops once the largest |theta| settles can return 10.
+    rng = np.random.default_rng(seed)
+    eigenvalues = np.concatenate([[10.0, -10.0 * (1 + excess)], rng.uniform(-10, 5, p - 2)])
+    A = with_spectrum(eigenvalues, rng)
+    assert_spectral_norm_is_eigvalsh(A, converges=True)
+    assert_spectral_norm_is_eigvalsh(-A, converges=True)
+
+
+@pytest.mark.parametrize("p", LANCZOS_DIMS)
+def test_spectral_norm_of_matrices_that_end_the_iteration_early(p):
+    # the zero matrix, c I and rank-one matrices span an invariant Krylov
+    # space after one or two steps
+    u = np.random.default_rng(p).standard_normal(p)
+    for A in (np.zeros((p, p)), 3.5 * np.eye(p), -0.25 * np.eye(p),
+              np.outer(u, u), -np.outer(u, u), np.outer(u, u) - np.eye(p)):
+        assert_spectral_norm_is_eigvalsh(A, converges=True)
+
+
+def test_spectral_norm_is_eigvalsh_below_the_threshold():
+    A = symmetrize(np.random.default_rng(0).standard_normal((_LANCZOS_MIN_P - 1,) * 2))
+    assert _spectral_norm(A) == matrix_norm(A, "operator")
