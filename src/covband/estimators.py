@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import BandwidthTooLarge, NotPositiveDefinite, SingularDesign
 from .matcore import (
@@ -129,22 +130,30 @@ def fit_banded_cholesky(X, k: int) -> BandedCholeskyFactors:
     return BandedCholeskyFactors(k=k, A=A, D=D[0])
 
 
-def cholesky_covariance_path(S, ks) -> np.ndarray:
-    """Covariance estimates of the bandwidth-k Cholesky fit, for every k in ks.
+def cholesky_covariance_path(S, ks):
+    """Iterator over the covariance estimates of the bandwidth-k Cholesky fit,
+    one p x p array per k in ks, from the sample covariance ``S`` (as in
+    :func:`fit_banded_cholesky`).
 
-    ``S`` is the sample covariance the regressions are solved from (as in
-    :func:`fit_banded_cholesky`); returns the (len(ks), p, p) stack of the
-    implied covariances.  Raises SingularDesign like the single fit.
+    Every regression is solved, and SingularDesign raised like the single
+    fit, before this returns; the estimates are then built in chunks of at
+    most 1 MiB (or one estimate), so memory is O(p^2), not O(len(ks) p^2).
     """
-    return _covariance_from_band(*_band_regressions(require_symmetric(S, "S"), ks))
+    coef, D = _band_regressions(require_symmetric(S, "S"), ks)
+    step = max(1, _PATH_BYTES // (8 * D.shape[1] ** 2))
+    return (
+        Sigma
+        for i in range(0, len(D), step)
+        for Sigma in _covariance_from_band(coef[i : i + step], D[i : i + step])
+    )
 
 
 def factors_to_matrices(f: BandedCholeskyFactors) -> tuple[np.ndarray, np.ndarray]:
     """(precision, covariance) implied by fitted factors.
 
     precision = (I - A)' diag(1/D) (I - A), which is k-banded and positive
-    definite; covariance is its inverse, built row by row from the band
-    (never an explicit matrix inverse).
+    definite; covariance is its inverse, built block by block from the
+    band (never an explicit matrix inverse).
     """
     p = f.dim
     W = np.eye(p) - f.A
@@ -158,7 +167,7 @@ def factors_to_matrices(f: BandedCholeskyFactors) -> tuple[np.ndarray, np.ndarra
 def cholesky_banded_covariance(X, k: int) -> np.ndarray:
     """Covariance of the bandwidth-k Cholesky fit, built without A or the precision."""
     X, k = _cholesky_input(X, k)
-    return cholesky_covariance_path(sample_covariance(X), [k])[0]
+    return next(cholesky_covariance_path(sample_covariance(X), [k]))
 
 
 def fit_covariance(X, kind, k: int | None = None, taper: TaperSpec | None = None) -> np.ndarray:
@@ -216,8 +225,10 @@ def _band_regressions(S, ks) -> tuple[np.ndarray, np.ndarray]:
     inv(L[:m, :m])' y[:m]: one factorization per column serves every
     bandwidth.  Columns with fewer than K predecessors are padded with a
     scaled identity, which changes neither their regressions nor their
-    pivot tolerance.  Raises SingularDesign when a Gram block fails the
-    Cholesky test or a residual variance is not positive.
+    pivot tolerance.  The Gram blocks are copied from one strided view of
+    S reversed and zero-padded; O(p K^3) flops, O(p K^2) memory.  Raises
+    SingularDesign when a Gram block fails the Cholesky test or a residual
+    variance is not positive.
     """
     p = S.shape[0]
     ks = np.asarray(ks, dtype=int)
@@ -227,50 +238,95 @@ def _band_regressions(S, ks) -> tuple[np.ndarray, np.ndarray]:
     s_diag = np.diag(S)
     if K == 0:
         return np.zeros((ks.size, p, 0)), np.tile(s_diag, (ks.size, 1))
-    j = np.arange(p)[:, None]
-    pred = j - np.arange(1, K + 1)[None, :]
-    real = pred >= 0
-    pred = np.where(real, pred, 0)
-    G = np.where(real[:, :, None] & real[:, None, :], S[pred[:, :, None], pred[:, None, :]], 0.0)
-    pad = np.max(np.where(real, s_diag[pred], 0.0), axis=1, initial=0.0)
-    pad[0] = 1.0  # the first column has no predecessors at all
-    G[:, np.arange(K), np.arange(K)] += np.where(real, 0.0, pad[:, None])
-    c = np.where(real, S[pred, j], 0.0)
+    # R[a, b] = S[p-1-a, p-1-b] with K zero rows and columns appended: the
+    # Gram block of column j is R[p-j:p-j+K, p-j:p-j+K], and its covariances
+    # with column j are R[p-j:p-j+K, p-j-1]
+    R = np.zeros((p + K, p + K))
+    R[:p, :p] = S[::-1, ::-1]
+    row, step = R.strides
+    G = as_strided(R[1:, 1:], (p, K, K), (row + step, row, step))[::-1].copy()
+    c = as_strided(R[1:], (p, K), (row + step, row))[::-1]
+    j, i = np.triu_indices(K)  # column j < K lacks its predecessors i >= j
+    G[j, i, i] = np.where(j > 0, np.maximum.accumulate(s_diag[:K])[j - 1], 1.0)
     try:
         L = cholesky_factor(G)
     except NotPositiveDefinite as exc:
         raise SingularDesign(f"regressor Gram block failed the Cholesky test: {exc}") from None
-    Linv = np.tril(np.linalg.inv(L))
-    y = np.where(real, np.einsum("jlm,jm->jl", Linv, c), 0.0)  # padding stays exactly 0
-    # row m of resid and of coef holds the size-m regressions, m = 0..K
+    del G
+    Linv = _tril_inverse(L)
+    del L
+    y = (Linv @ c[:, :, None])[:, :, 0]  # 0 on the padding: L is block diagonal there
+    # row m of resid holds the size-m residual variances, m = 0..K, and
+    # row m - 1 of the cumulated Linv rows the size-m coefficients
     resid = s_diag[:, None] - np.cumsum(np.pad(y * y, ((0, 0), (1, 0))), axis=1)
-    coef = np.cumsum(np.pad(Linv * y[:, :, None], ((0, 0), (1, 0), (0, 0))), axis=1)
     if not np.all(resid[:, K] > 0):  # resid is nonincreasing in m
         bad = int(np.argmin(resid[:, K]))
         raise SingularDesign(
             f"residual variance of coordinate {bad + 1} is not positive "
             "(exactly collinear columns)"
         )
+    Linv *= y[:, :, None]
     m = np.minimum(ks, K)
-    return coef[:, m, :].transpose(1, 0, 2), resid[:, m].T
+    coef = np.take(np.cumsum(Linv, axis=1, out=Linv), m - 1, axis=1, mode="clip")
+    coef[:, m == 0] = 0.0
+    return coef.transpose(1, 0, 2), resid[:, m].T
+
+
+def _tril_inverse(L, out=None) -> np.ndarray:
+    """Inverse of a stack (..., n, n) of lower-triangular matrices, written
+    into ``out`` if given (it must start as zeros), by recursive 2 x 2 blocks
+    on stacked matmuls only: inv([[A, 0], [C, B]]) = [[inv(A), 0],
+    [-inv(B) C inv(A), inv(B)]], O(n^3 / 3) flops per matrix.  Entries above
+    the diagonal are exactly 0.
+    """
+    if out is None:
+        out = np.zeros(L.shape)
+    n, h = L.shape[-1], L.shape[-1] // 2
+    if n == 1:
+        return np.divide(1.0, L, out=out)
+    _tril_inverse(L[..., :h, :h], out[..., :h, :h])
+    _tril_inverse(L[..., h:, h:], out[..., h:, h:])
+    out[..., h:, :h] = -(out[..., h:, h:] @ (L[..., h:, :h] @ out[..., :h, :h]))
+    return out
+
+
+# rows per Sigma block; Sigma bytes per path chunk (of 0.25..16 MiB, 1 MiB
+# was fastest at p = 102, K = 66: a chunk's work stacks stay in cache)
+_BLOCK_ROWS = 32
+_PATH_BYTES = 2**20
 
 
 def _covariance_from_band(coef, D) -> np.ndarray:
     """inv(I - A) diag(D) inv(I - A)' for stacks of band coefficients
     (..., p, K) and residual variances (..., p).
 
-    Built row by row from x_j = sum_l A[j, l] x_l + e_j: for i < j,
-    Sigma[j, i] = sum_l A[j, l] Sigma[l, i], and Sigma[j, j] adds D[j].
-    That costs O(p^2 K) per matrix, against O(p^3) for a triangular inverse.
+    Built in blocks J of 32 rows from x_j = sum_l A[j, l] x_l + e_j.  With
+    W = I - A and P the K rows before J, Y = inv(W_JJ) A_JP gives
+    Sigma[J, :j0] = Y Sigma[P, :j0], and the diagonal block is
+    Sigma[J, P] Y' + inv(W_JJ) D_J inv(W_JJ)'; its lower triangle is kept
+    and every block is mirrored, so Sigma is exactly symmetric.  Every
+    inv(W_JJ) and Y is one stacked call; the recursion is a matmul per
+    block, O(p^2 K) flops per matrix, against O(p^3) for a full inverse.
     """
     *batch, p, K = coef.shape
-    Sigma = np.zeros((*batch, p, p))
-    farthest_first = np.ascontiguousarray(coef[..., ::-1])
-    for j in range(p):
-        m = min(j, K)
-        a = farthest_first[..., j, K - m :]
-        row = np.einsum("...i,...ij->...j", a, Sigma[..., j - m : j, :j])
-        Sigma[..., j, :j] = row
-        Sigma[..., :j, j] = row
-        Sigma[..., j, j] = D[..., j] + np.einsum("...i,...i->...", a, row[..., j - m : j])
+    b = min(_BLOCK_ROWS, p)
+    # window[..., J, t, t + u] = A[j0 + t, j0 + t - K + u] with j0 = J b:
+    # block J's rows of A on columns j0 - K .. j0 + b, zero past row p
+    window = np.zeros((*batch, -(-p // b), b, K + b))
+    *outer, row, step = window.strides
+    shifted = as_strided(window, window.shape[:-1] + (K,), (*outer, row + step, step))
+    for J, j0 in enumerate(range(0, p, b)):
+        shifted[..., J, : p - j0, :] = coef[..., j0 : j0 + b, ::-1]
+    U = _tril_inverse(np.eye(b) - window[..., K:])
+    Y = U @ window[..., :K]
+    Sigma = np.empty((*batch, p, p))
+    for J, j0 in enumerate(range(0, p, b)):
+        j1, m = min(j0 + b, p), min(j0, K)
+        UJ, YJ = U[..., J, : j1 - j0, : j1 - j0], Y[..., J, : j1 - j0, K - m :]
+        lower = np.matmul(YJ, Sigma[..., j0 - m : j0, :j0], out=Sigma[..., j0:j1, :j0])
+        Sigma[..., :j0, j0:j1] = np.swapaxes(lower, -1, -2)
+        diag = Sigma[..., j0:j1, j0:j1]
+        np.matmul(lower[..., j0 - m :], np.swapaxes(YJ, -1, -2), out=diag)
+        diag += (UJ * D[..., None, j0:j1]) @ np.swapaxes(UJ, -1, -2)
+        np.copyto(diag, np.swapaxes(diag, -1, -2), where=~np.tri(j1 - j0, dtype=bool))
     return Sigma

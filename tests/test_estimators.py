@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from covband.errors import BandwidthTooLarge, DataFormatError, SingularDesign
 from covband.estimators import (
     ESTIMATORS,
     BandedCholeskyFactors,
+    _tril_inverse,
     banded_covariance,
     cholesky_banded_covariance,
     cholesky_covariance_path,
@@ -18,6 +23,7 @@ from covband.estimators import (
     tapered_covariance,
 )
 from covband.matcore import TaperSpec, band, cholesky_factor, schur_product, taper_weights
+from covband.selection import estimate_risk
 from covband.simgen import CovarianceModel, build_covariance, sample_gaussian
 
 
@@ -228,7 +234,7 @@ def test_covariance_matches_sample_covariance_inside_the_band():
 def test_covariance_path_matches_single_fits():
     X = _long_memory(60, 25)
     ks = [0, 1, 2, 5, 13, 40]  # bandwidths past p - 1 act like p - 1
-    path = cholesky_covariance_path(sample_covariance(X), ks)
+    path = np.stack(list(cholesky_covariance_path(sample_covariance(X), ks)))
     assert path.shape == (len(ks), 25, 25)
     for k, C in zip(ks, path):
         assert_allclose(C, cholesky_banded_covariance(X, min(k, 24)), rtol=1e-12, atol=1e-14)
@@ -240,6 +246,73 @@ def test_covariance_is_exactly_that_of_the_factors():
         for k in range(X.shape[1] + 3):
             C = factors_to_matrices(fit_banded_cholesky(X, k))[1]
             assert np.array_equal(cholesky_banded_covariance(X, k), C), k
+
+
+@pytest.mark.parametrize("p", [1, 2, 31, 32, 33, 65, 102])
+def test_covariance_matches_the_solve_reference_across_block_boundaries(p):
+    # the blocked recursion against plain numpy, for bandwidths on both
+    # sides of the 32-row blocks and past p - 1
+    X = _long_memory(max(p, 33) + 6, p)
+    S = sample_covariance(X)
+    dist = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+    for k in sorted({0, 1, 31, 32, 33, p - 1, p + 2}):
+        f = fit_banded_cholesky(X, k)
+        W = np.eye(p) - f.A
+        reference = np.linalg.solve(W, np.diag(f.D)) @ np.linalg.inv(W).T
+        C = cholesky_banded_covariance(X, k)
+        assert np.array_equal(C, C.T), k
+        assert np.max(np.abs(C - reference)) <= 1e-10 * np.max(np.abs(reference)), k
+        inside = dist <= k
+        assert np.max(np.abs(C - S)[inside]) <= 1e-10 * np.max(np.abs(S)), k
+
+
+def test_covariance_path_chunks_match_single_fits():
+    # at p = 200 three estimates fill a chunk, so ks spans three chunks
+    X = _mixed_gaussian(40, 200)
+    S = sample_covariance(X)
+    ks = list(range(8))
+    for k, C in zip(ks, cholesky_covariance_path(S, ks), strict=True):
+        assert np.array_equal(C, C.T)
+        assert_allclose(C, cholesky_banded_covariance(X, k), rtol=1e-12, atol=1e-14)
+
+
+def test_cholesky_split_memory_is_one_estimate_not_the_stack():
+    # p = 600, K = 31: the (K + 1) p^2 stack of every bandwidth is 92 MB
+    p, K = 600, 31
+    X = _mixed_gaussian(3 * (K + 2), p)
+    tracemalloc.start()
+    try:
+        estimate_risk(X, k_grid=range(K + 1), estimator_kind="cholesky", N=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (K + 1) * p * p * 8 / 3
+
+
+@st.composite
+def lower_triangular_stacks(draw):
+    """Well-conditioned lower-triangular stacks: diagonal in [1, 2] and
+    off-diagonal entries below 1 / n in magnitude."""
+    n = draw(st.integers(1, 70))
+    batch = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    L = np.tril(rng.uniform(-1.0, 1.0, (*batch, n, n)) / n, -1)
+    return L + np.eye(n) * rng.uniform(1.0, 2.0, (*batch, 1, n))
+
+
+@given(lower_triangular_stacks())
+@example(np.eye(31) * 1.5 + np.tri(31, k=-1) / 31)
+@example(np.eye(32)[None] * 1.5 + np.tri(32, k=-1) / 32)
+@example(np.stack([np.eye(33) + np.tri(33, k=-1) / 33] * 3))
+@example(np.eye(64) * 2.0 - np.tri(64, k=-1) / 64)
+@example(np.eye(65) + np.tri(65, k=-1) / 65)
+@example(np.eye(70) + np.tri(70, k=-1) / 70)
+def test_tril_inverse_matches_numpy_inverse_property(L):
+    inverse = _tril_inverse(L)
+    reference = np.linalg.inv(L)
+    assert_allclose(inverse, reference, rtol=1e-12, atol=1e-12 * np.max(np.abs(reference)))
+    n = L.shape[-1]
+    assert np.all(inverse[..., ~np.tri(n, dtype=bool)] == 0.0)
 
 
 def test_residual_variance_nonincreasing_in_k():
@@ -277,6 +350,8 @@ def test_exactly_collinear_columns_rejected():
     X[:, 2] = X[:, 1]
     with pytest.raises(SingularDesign):
         fit_banded_cholesky(X, 2)
+    with pytest.raises(SingularDesign):  # raised before any estimate is built
+        cholesky_covariance_path(sample_covariance(X), [0, 2])
 
 
 def test_constant_column_rejected():

@@ -68,3 +68,24 @@ assert np.all(np.isfinite(curve.risk))
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_failing_property_is_reported_by_name(tmp_path):
+    # under the repo's warning filters a failing hypothesis property must end
+    # as an ordinary failure with its falsifying example, not INTERNALERROR
+    (tmp_path / "test_prop.py").write_text("""
+from hypothesis import given, settings, strategies as st
+
+@settings(database=None, derandomize=True)
+@given(st.integers(0, 100))
+def test_deliberately_failing_property(x):
+    assert x < 50
+""", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_prop.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "test_deliberately_failing_property" in result.stdout
+    assert "INTERNALERROR" not in result.stdout + result.stderr

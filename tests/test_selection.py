@@ -273,7 +273,7 @@ def _estimates(S, kind, ks):
     """Each bandwidth's estimate from S, one k at a time."""
     if kind == "banded":
         return [band(S, k) for k in ks]
-    return [cholesky_covariance_path(S, [k])[0] for k in ks]
+    return [next(cholesky_covariance_path(S, [k])) for k in ks]
 
 
 # for p = 240, above the Lanczos threshold; the cholesky grid stays within k <= n1 - 2
