@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DataFormatError
 from .estimators import sample_covariance
-from .matcore import matrix_norm
+from .matcore import matrix_norm, single_blas_thread
 from .selection import (
     ESTIMATOR_KINDS,
     SELECTION_NORMS,
@@ -176,19 +176,20 @@ def run_simulation_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """
     Sigma = build_covariance(spec.model, spec.p)
     curves, oracles, loss_samples = [], [], []
-    for r in range(spec.reps):
-        X = sample_gaussian(Sigma, spec.n, np.random.SeedSequence([spec.seed, r, 0]))
-        curves.append(estimate_risk(
-            X,
-            k_grid=spec.k_grid,
-            estimator_kind=spec.estimator_kind,
-            N=spec.N,
-            n1=spec.n1,
-            norm=spec.norm,
-            seed=substream_seed(spec.seed, r, 1),
-        ))
-        oracles.append(oracle_k1(X, Sigma, curves[-1].k_grid, spec.estimator_kind, spec.norm))
-        loss_samples.append(matrix_norm(sample_covariance(X) - Sigma, spec.norm))
+    with single_blas_thread():  # the sampler too, so X does not depend on the thread setting
+        for r in range(spec.reps):
+            X = sample_gaussian(Sigma, spec.n, np.random.SeedSequence([spec.seed, r, 0]))
+            curves.append(estimate_risk(
+                X,
+                k_grid=spec.k_grid,
+                estimator_kind=spec.estimator_kind,
+                N=spec.N,
+                n1=spec.n1,
+                norm=spec.norm,
+                seed=substream_seed(spec.seed, r, 1),
+            ))
+            oracles.append(oracle_k1(X, Sigma, curves[-1].k_grid, spec.estimator_kind, spec.norm))
+            loss_samples.append(matrix_norm(sample_covariance(X) - Sigma, spec.norm))
 
     ks = curves[0].k_grid
     losses = np.array([o.curve.risk for o in oracles])

@@ -17,6 +17,7 @@ so that the full-bandwidth fit reproduces the sample covariance exactly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,13 +139,13 @@ def cholesky_covariance_path(S, ks):
     Every regression is solved, and SingularDesign raised like the single
     fit, before this returns; the estimates are then built in chunks of at
     most 1 MiB (or one estimate), so memory is O(p^2), not O(len(ks) p^2).
+    A finished chunk is not kept: dropped estimates are freed at once.
     """
     coef, D = _band_regressions(require_symmetric(S, "S"), ks)
     step = max(1, _PATH_BYTES // (8 * D.shape[1] ** 2))
-    return (
-        Sigma
+    return itertools.chain.from_iterable(
+        _covariance_from_band(coef[i : i + step], D[i : i + step])
         for i in range(0, len(D), step)
-        for Sigma in _covariance_from_band(coef[i : i + step], D[i : i + step])
     )
 
 

@@ -230,8 +230,7 @@ def forecast_workflow(
         raise ValueError(f"split must be in 1..{p - 1}, got {split}")
     if estimator_kind not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator_kind!r}")
-    # as in estimate_risk: one BLAS thread keeps the Cholesky path steady
-    with single_blas_thread(estimator_kind == "cholesky"):
+    with single_blas_thread():  # as in estimate_risk
         train = X[:n_train]
         test = X[n_train:]
         mu = train.mean(axis=0)

@@ -246,15 +246,16 @@ def cholesky_factor(M) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def single_blas_thread(active: bool = True):
-    """Cap numpy's OpenBLAS at one thread inside the block, if ``active``.
+def single_blas_thread():
+    """Cap numpy's OpenBLAS at one thread inside the block.
 
-    On the many small products of the Cholesky path a second thread gains
-    little, but it spins after each threaded call: CPU time doubles and
-    the run slows whenever the other core is busy.  The cap is
-    process-wide and restored on exit; without OpenBLAS it does nothing.
+    Every risk curve, oracle curve, forecast and ``bench`` replication loop
+    runs under it.  On their products a second thread gains little, but it
+    spins after each threaded call: CPU time doubles and the run slows
+    whenever the other core is busy.  The cap is process-wide and restored
+    on exit; without OpenBLAS it does nothing.
     """
-    get_set = _openblas_threads() if active else None
+    get_set = _openblas_threads()
     if get_set is None:
         yield
         return

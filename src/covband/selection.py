@@ -142,17 +142,18 @@ def estimate_risk(
     ks = _check_k_grid(k_grid, p, estimator_kind, n1, "n1")
 
     total = np.zeros(ks.size)
-    # The Cholesky path and the Lanczos operator norm are many small
-    # products, which a second BLAS thread does not speed up.  The cap
-    # covers the sample covariances too: after each threaded product an
-    # idle OpenBLAS thread spins for about 0.1 s, which nearly doubled the
-    # CPU time of an operator-norm curve.
-    with single_blas_thread(estimator_kind == "cholesky" or norm == "operator"):
+    split_loss_curve = _split_loss_curve(p, ks, estimator_kind, norm)
+    # Every curve runs on one BLAS thread, sample covariances included: a
+    # second thread does not speed up its products, and after each threaded
+    # one an idle OpenBLAS thread spins for about 0.1 s, which doubled the
+    # CPU time of the banded (1,1) and the operator-norm curves.
+    with single_blas_thread():
         for nu in range(N):
             perm = substream(seed, nu).permutation(n)
             S1 = sample_covariance(X[perm[:n1]])
             S2 = sample_covariance(X[perm[n1:]])
-            total += _split_loss_curve(S1, S2, ks, estimator_kind, norm)
+            total += split_loss_curve(S1, S2)
+            del S1, S2  # not alive beside the workspace while the next pair is built
     return RiskCurve(
         k_grid=ks,
         risk=total / N,
@@ -185,8 +186,8 @@ def oracle_k1(X, truth, k_grid=None, estimator_kind: str = "banded",
         raise ValueError(f"truth must be {p} x {p}, got {truth.shape}")
     _check_kind_norm(estimator_kind, norm)
     ks = _check_k_grid(k_grid, p, estimator_kind, n, "n")
-    with single_blas_thread(norm == "operator"):  # see estimate_risk
-        losses = _split_loss_curve(sample_covariance(X), truth, ks, estimator_kind, norm)
+    with single_blas_thread():  # see estimate_risk
+        losses = _split_loss_curve(p, ks, estimator_kind, norm)(sample_covariance(X), truth)
     curve = RiskCurve(
         k_grid=ks, risk=losses, estimator_kind=estimator_kind,
         N=None, n1=None, n2=None, norm=norm, seed=None,
@@ -283,26 +284,33 @@ def read_risk_curve(path) -> tuple[np.ndarray, np.ndarray, int | None]:
 # ---------------------------------------------------------------------------
 
 
-def _split_loss_curve(S_fit, target, ks, estimator_kind, norm) -> np.ndarray:
-    """||estimate_k - target|| for every k, with the estimator built from
-    the sample covariance ``S_fit``.
+def _split_loss_curve(p, ks, estimator_kind, norm):
+    """The function (S_fit, target) -> ||estimate_k - target|| for every k
+    in ks, the estimator built from the p x p sample covariance ``S_fit``.
 
     Both matrices are exactly symmetric float arrays: sample covariances,
     or a truth ``oracle_k1`` has checked.  Banded (1,1) curves take the
-    diagonal fast path; every other case takes one norm per bandwidth, on
+    diagonal fast path, on one workspace that the function holds for its
+    whole life; every other case takes one norm per bandwidth, on
     ``band_path`` or ``cholesky_covariance_path`` estimates.  The operator
     norm is :func:`_spectral_norm` (Lanczos from a fixed start, falling
-    back to ``eigvalsh``), the (1,1) norm ``unchecked_norm``.
+    back to ``eigvalsh``).
     """
     if estimator_kind == "banded" and norm == "one_one":
-        return _one_one_band_curve(S_fit, target, ks)
-    if estimator_kind == "banded":
-        estimates = band_path(S_fit, ks)
-    else:
-        estimates = cholesky_covariance_path(S_fit, ks)
-    loss = _spectral_norm if norm == "operator" else lambda A: unchecked_norm(A, norm)
-    # every estimate is a fresh array, so it can hold its own difference
-    return np.array([loss(np.subtract(E, target, out=E)) for E in estimates])
+        K = min(int(ks[-1]), p - 1)
+        work = np.zeros(p * (p + K) + K), np.empty((p, K + 1)), np.empty((p, p))
+        return lambda S_fit, target: _one_one_band_curve(S_fit, target, ks, *work)
+    path = band_path if estimator_kind == "banded" else cholesky_covariance_path
+
+    def curve(S_fit, target):
+        def loss(E):  # E is a fresh array, so it can hold its own difference
+            np.subtract(E, target, out=E)
+            if norm == "operator":
+                return _spectral_norm(E)
+            return float(np.max(np.sum(np.abs(E, out=E), axis=0)))
+        # map holds no estimate past its loss, so each is freed before the next is built
+        return np.fromiter(map(loss, path(S_fit, ks)), float, ks.size)
+    return curve
 
 
 # Lanczos operator norm: eigvalsh below _LANCZOS_MIN_P, where it was as fast
@@ -377,7 +385,7 @@ def _spectral_norm(A: np.ndarray) -> float:
     return unchecked_norm(A, "operator")
 
 
-def _one_one_band_curve(S, T, ks) -> np.ndarray:
+def _one_one_band_curve(S, T, ks, buf, G, abs_T) -> np.ndarray:
     """||B_k(S) - T||_(1,1) for every k in ks, accumulated along diagonals.
 
     With Delta = |S - T| - |T|, column j's sum at bandwidth k is
@@ -387,20 +395,20 @@ def _one_one_band_curve(S, T, ks) -> np.ndarray:
     at distance d left and right of the diagonal two strided views of one
     buffer (zero where j - d < 0 or j + d >= p).  One cumulative sum over d
     then gives every bandwidth up to K = min(max k, p - 1) in O(p^2 + K p);
-    bandwidths past p - 1 repeat the value at p - 1.
+    bandwidths past p - 1 repeat the value at p - 1.  The caller's scratch
+    ``buf`` (p (p + K) + K zeros), ``G`` (p x (K + 1)) and ``abs_T`` (p x p)
+    can serve every call: only G, |T| and the rows' Delta are written.
     """
     p = S.shape[0]
     kc = np.minimum(ks, p - 1)
     K = int(kc[-1])
     r = p + K
-    abs_T = np.abs(T)
-    buf = np.zeros(p * r + K)  # the trailing K zeros pad the last row
+    np.abs(T, out=abs_T)
     delta = buf[: p * r].reshape(p, r)[:, K:]
     np.subtract(S, T, out=delta)
     np.abs(delta, out=delta)
     delta -= abs_T
     # G[j, d] = colsum|T|_j + Delta[j, j] at d = 0, Delta[j, j - d] + Delta[j, j + d] after
-    G = np.empty((p, K + 1))
     np.add(abs_T.sum(axis=0), np.diagonal(delta), out=G[:, 0])
     step = buf.itemsize
     right = as_strided(buf[K + 1:], (p, K), ((r + 1) * step, step), writeable=False)

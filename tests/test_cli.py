@@ -311,6 +311,24 @@ def test_bench_reproducibility_across_blas_thread_settings(tmp_path):
     assert [(r.k_hat, r.k1) for r in records_one] == [(r.k_hat, r.k1) for r in records_two]
 
 
+def test_bench_files_do_not_depend_on_the_blas_thread_setting(tmp_path):
+    # the sampler and every curve run capped at one BLAS thread, so a process
+    # started with two threads writes the bytes of one started with one
+    def bench(threads):
+        out_dir = tmp_path / str(threads)
+        env = {**package_env(), "OPENBLAS_NUM_THREADS": str(threads)}
+        subprocess.run([sys.executable, "-m", "covband.cli", "bench",
+                        "--model", "ar1:rho=0.7", "--p", "150", "--n", "60", "--reps", "2",
+                        "--N", "4", "--estimator", "cholesky", "--norm", "operator",
+                        "--seed", "3", "--out-dir", str(out_dir)],
+                       env=env, capture_output=True, check=True)
+        return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    one, two = bench(1), bench(2)
+    assert len(one) == 4
+    assert one == two
+
+
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------

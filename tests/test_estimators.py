@@ -289,6 +289,21 @@ def test_cholesky_split_memory_is_one_estimate_not_the_stack():
     assert peak < (K + 1) * p * p * 8 / 3
 
 
+def test_covariance_path_frees_each_estimate_before_the_next():
+    # from p = 257 on every chunk is one estimate; a consumer that drops each
+    # one must never hold two
+    p = 300
+    path = cholesky_covariance_path(sample_covariance(_mixed_gaussian(40, p)), range(8))
+    tracemalloc.start()
+    try:
+        sums = list(map(np.sum, path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sums) == 8
+    assert peak < 1.5 * p * p * 8
+
+
 @st.composite
 def lower_triangular_stacks(draw):
     """Well-conditioned lower-triangular stacks: diagonal in [1, 2] and

@@ -338,8 +338,6 @@ def test_single_blas_thread_caps_and_restores_the_thread_count():
                 assert get() == 1
             assert get() == 1
         assert get() == outer
-        with single_blas_thread(False):
-            assert get() == outer
         with pytest.raises(RuntimeError), single_blas_thread():
             raise RuntimeError
         assert get() == outer

@@ -89,3 +89,31 @@ def test_deliberately_failing_property(x):
     assert result.returncode == 1, result.stdout + result.stderr
     assert "test_deliberately_failing_property" in result.stdout
     assert "INTERNALERROR" not in result.stdout + result.stderr
+
+
+def test_property_examples_do_not_depend_on_imported_modules(tmp_path):
+    # conftest.py pins hypothesis's pool of source constants; unpinned,
+    # importing one more module full of literals changes the examples drawn
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    drawn = []
+
+    @settings(database=None, max_examples=200)
+    @given(st.integers(0, 2**32 - 1))
+    def draw(value):
+        drawn[-1].append(value)
+
+    drawn.append([])
+    draw()
+    literals = ", ".join(str(7919 * i + 13) for i in range(1, 400))
+    (tmp_path / "many_literals.py").write_text(f"VALUES = ({literals})\n", encoding="utf-8")
+    sys.path.insert(0, str(tmp_path))
+    try:
+        importlib.import_module("many_literals")
+        drawn.append([])
+        draw()
+    finally:
+        sys.path.remove(str(tmp_path))
+        sys.modules.pop("many_literals", None)
+    assert drawn[0] == drawn[1]

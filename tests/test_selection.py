@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ from covband.selection import (
     SelectionResult,
     _LANCZOS_MIN_P,
     _one_one_band_curve,
+    _split_loss_curve,
     _spectral_norm,
     default_k_grid,
     estimate_risk,
@@ -313,7 +315,8 @@ def test_operator_oracle_k1_matches_eigvalsh_per_bandwidth(kind):
 
 def test_operator_curves_take_sample_covariances_on_one_blas_thread():
     # a threaded product before each Lanczos run leaves an OpenBLAS thread
-    # spinning beside it, so the whole operator-norm curve runs capped
+    # spinning beside it, so the whole curve runs capped, and so does the
+    # banded (1,1) curve
     from covband import selection
     from covband.matcore import _openblas_threads
 
@@ -334,9 +337,35 @@ def test_operator_curves_take_sample_covariances_on_one_blas_thread():
         with mock.patch.object(selection, "sample_covariance", recording):
             estimate_risk(X, N=2, norm="operator", seed=0)
             oracle_k1(X, np.eye(6), norm="operator")
-            assert seen == [1] * 5
             estimate_risk(X, N=1, seed=0)
-            assert seen[5:] == [2, 2]
+            assert seen == [1] * 7
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+def test_banded_one_one_curve_runs_on_one_blas_thread():
+    from covband import selection
+    from covband.matcore import _openblas_threads
+
+    threads = _openblas_threads()
+    if threads is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    get, set_ = threads
+    seen = []
+
+    def recording(*args):
+        seen.append(get())
+        return _one_one_band_curve(*args)
+
+    X = np.random.default_rng(16).standard_normal((12, 6))
+    before = get()
+    set_(2)
+    try:
+        with mock.patch.object(selection, "_one_one_band_curve", recording):
+            estimate_risk(X, N=3, seed=0)
+            oracle_k1(X, np.eye(6))
+        assert seen == [1] * 4
     finally:
         set_(before)
 
@@ -373,13 +402,43 @@ def symmetric_pair_and_grid(draw):
 @given(symmetric_pair_and_grid())
 def test_one_one_band_curve_matches_its_definition(case):
     S, T, ks, rng = case
+    ks = np.asarray(ks)
     expected = [matrix_norm(band(S, k) - T, "one_one") for k in ks]
-    assert_allclose(_one_one_band_curve(S, T, np.asarray(ks)), expected, rtol=1e-12, atol=0)
+    curve = _split_loss_curve(S.shape[0], ks, "banded", "one_one")
+    assert_allclose(curve(S, T), expected, rtol=1e-12, atol=0)
     # the same curve through the public oracle, with S a sample covariance
     X = rng.standard_normal((int(rng.integers(2, 50)), S.shape[0]))
     S = sample_covariance(X)
     expected = [matrix_norm(band(S, k) - T, "one_one") for k in ks]
     assert_allclose(oracle_k1(X, T, ks).curve.risk, expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("p, k_max", [(1, 0), (1, 3), (2, 0), (2, 1), (50, 10), (50, 49),
+                                      (50, 60)])
+def test_one_one_band_curve_reuses_its_workspace(p, k_max):
+    # a workspace left over from another (S, T) gives the fresh-workspace bytes
+    rng = np.random.default_rng(p + k_max)
+    S1, T1, S2, T2 = (symmetrize(rng.standard_normal((p, p)) * scale)
+                      for scale in (1e3, 1e-3, 1.0, 2.0))
+    ks = np.arange(k_max + 1)
+    curve = _split_loss_curve(p, ks, "banded", "one_one")
+    for S, T in ((S1, T1), (S2, T2)):
+        assert_array_equal(curve(S, T), _split_loss_curve(p, ks, "banded", "one_one")(S, T))
+
+
+def test_banded_one_one_peak_memory_does_not_grow_with_splits():
+    # the workspace is held for the whole curve; a split's S1 and S2 (2.9 MB
+    # each at p = 600) must not outlive it beside the next pair
+    X = np.random.default_rng(17).standard_normal((30, 600))
+    peaks = []
+    for N in (1, 3):
+        tracemalloc.start()
+        try:
+            estimate_risk(X, N=N, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 600 * 600 * 8 / 4
 
 
 def test_oracle_k1_rejects_an_asymmetric_truth():
