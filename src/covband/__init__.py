@@ -5,6 +5,8 @@ resampling-based bandwidth selection, simulation benchmarks, eigenstructure
 diagnostics, and a partitioned linear-prediction workflow.
 """
 
+import types as _types
+
 from .bench import (
     ExperimentReport,
     ExperimentSpec,
@@ -50,7 +52,6 @@ from .forecast import (
     ingest_counts,
     partition_moments,
     predict_second_half,
-    run_forecast_experiment,
     write_forecast_report,
 )
 from .matcore import (
@@ -105,86 +106,6 @@ from .spectral import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BandedCholeskyFactors",
-    "BandwidthTooLarge",
-    "CovarianceModel",
-    "CovbandError",
-    "DataFormatError",
-    "DEGENERACY_GAP",
-    "EigenComparison",
-    "EigenDecomposition",
-    "ESTIMATOR_KINDS",
-    "ESTIMATORS",
-    "ExperimentReport",
-    "ExperimentSpec",
-    "ForecastOutcome",
-    "InsufficientData",
-    "MODEL_KINDS",
-    "NORMS",
-    "NotPositiveDefinite",
-    "PartitionedMoments",
-    "ReplicationRecord",
-    "RiskCurve",
-    "SELECTION_NORMS",
-    "SelectionResult",
-    "SingularBlock",
-    "SingularDesign",
-    "SpectralDegeneracy",
-    "TAPER_FAMILIES",
-    "TRANSFORMS",
-    "TaperSpec",
-    "ZeroTrace",
-    "band",
-    "banded_covariance",
-    "build_covariance",
-    "cholesky_banded_covariance",
-    "cholesky_covariance_path",
-    "cholesky_factor",
-    "conditional_coefficients",
-    "default_k_grid",
-    "effective_bandwidth",
-    "eigen_compare",
-    "estimate_risk",
-    "factors_to_matrices",
-    "fit_banded_cholesky",
-    "fit_covariance",
-    "forecast_error",
-    "forecast_workflow",
-    "ingest_counts",
-    "is_positive_definite",
-    "load_data_csv",
-    "load_matrix_csv",
-    "log_split_size",
-    "matrix_norm",
-    "oracle_k0",
-    "oracle_k1",
-    "parse_model",
-    "parse_spec",
-    "partition_moments",
-    "predict_second_half",
-    "read_experiment_report",
-    "read_risk_curve",
-    "require_symmetric",
-    "run_forecast_experiment",
-    "run_simulation_experiment",
-    "sample_covariance",
-    "sample_gaussian",
-    "save_data_csv",
-    "save_matrix_csv",
-    "schur_product",
-    "select_k",
-    "substream",
-    "substream_seed",
-    "sym_eigen",
-    "symmetrize",
-    "taper_weights",
-    "tapered_covariance",
-    "theoretical_bandwidth",
-    "variance_captured",
-    "write_comparison_csv",
-    "write_experiment_report",
-    "write_forecast_report",
-    "write_ratio_table",
-    "write_risk_curve",
-]
+# Every public name bound above; the submodules themselves are not API.
+__all__ = sorted(name for name, value in list(globals().items())
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

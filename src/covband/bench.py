@@ -176,7 +176,7 @@ def run_simulation_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """
     Sigma = build_covariance(spec.model, spec.p)
     curves, oracles, loss_samples = [], [], []
-    with single_blas_thread():  # the sampler too, so X does not depend on the thread setting
+    with single_blas_thread():  # for the sample loss; the calls before it cap themselves
         for r in range(spec.reps):
             X = sample_gaussian(Sigma, spec.n, np.random.SeedSequence([spec.seed, r, 0]))
             curves.append(estimate_risk(

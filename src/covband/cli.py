@@ -23,6 +23,7 @@ machine with the same BLAS thread setting.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -43,12 +44,11 @@ from .estimators import (
     load_data_csv,
     save_data_csv,
 )
-from .forecast import TRANSFORMS, run_forecast_experiment, write_forecast_report
+from .forecast import TRANSFORMS, forecast_workflow, ingest_counts, write_forecast_report
 from .matcore import TAPER_FAMILIES, TaperSpec, save_matrix_csv
 from .selection import (
     ESTIMATOR_KINDS,
     SELECTION_NORMS,
-    RiskCurve,
     estimate_risk,
     select_k,
     write_risk_curve,
@@ -161,10 +161,13 @@ def _cmd_estimate(args) -> int:
     if args.precision_out and args.estimator != "cholesky":
         raise ValueError("--precision-out is only available with --estimator cholesky")
     taper = None if args.taper is None else parse_taper(args.taper)
-    S = fit_covariance(X, args.estimator, k=args.k, taper=taper)
-    if args.precision_out:  # only the precision needs the factors themselves
-        precision = factors_to_matrices(fit_banded_cholesky(X, args.k))[0]
+    if args.precision_out:  # one fit gives both; its covariance is fit_covariance's
+        if args.k is None:
+            raise ValueError("--estimator cholesky requires --k")
+        precision, S = factors_to_matrices(fit_banded_cholesky(X, args.k))
         save_matrix_csv(args.precision_out, precision)
+    else:
+        S = fit_covariance(X, args.estimator, k=args.k, taper=taper)
     save_matrix_csv(args.out, S)
     print(f"wrote {args.estimator} covariance estimate to {args.out}")
     return 0
@@ -210,15 +213,8 @@ def _cmd_bench(args) -> int:
             reports.append(report)
             slug = spec.slug()
             write_experiment_report(os.path.join(args.out_dir, f"report_{slug}.csv"), report)
-            true_curve = RiskCurve(
-                k_grid=report.k_grid,
-                risk=report.true_risk,
-                estimator_kind=spec.estimator_kind,
-                N=None,
-                n1=None,
-                n2=None,
-                norm=spec.norm,
-                seed=None,
+            true_curve = dataclasses.replace(
+                report.est_risk_single, risk=report.true_risk, N=None, n1=None, n2=None, seed=None
             )
             write_risk_curve(
                 os.path.join(args.out_dir, f"true_risk_{slug}.csv"),
@@ -251,13 +247,12 @@ def _cmd_predict(args) -> int:
         except ValueError:
             raise ValueError(f"--k must be an integer or 'auto', got {args.k!r}") from None
     taper = None if args.taper is None else parse_taper(args.taper)
-    outcome = run_forecast_experiment(
-        args.counts,
+    outcome = forecast_workflow(
+        ingest_counts(args.counts, args.transform),
         args.n_train,
         args.split,
         estimator_kind=args.estimator,
         k=k,
-        transform=args.transform,
         taper=taper,
         N=args.N,
         n1=args.n1,

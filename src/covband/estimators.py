@@ -104,10 +104,6 @@ class BandedCholeskyFactors:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "D", D)
 
-    @property
-    def dim(self) -> int:
-        return self.A.shape[0]
-
 
 def fit_banded_cholesky(X, k: int) -> BandedCholeskyFactors:
     """Least-squares fit of the bandwidth-k Cholesky factors.
@@ -156,7 +152,7 @@ def factors_to_matrices(f: BandedCholeskyFactors) -> tuple[np.ndarray, np.ndarra
     definite; covariance is its inverse, built block by block from the
     band (never an explicit matrix inverse).
     """
-    p = f.dim
+    p = f.D.size
     W = np.eye(p) - f.A
     precision = symmetrize(W.T @ (W / f.D[:, None]))
     j = np.arange(p)[:, None]

@@ -8,8 +8,7 @@ module also ingests count data with the variance-stabilizing
 ``sqrt(count + 1/4)`` transform and reports per-coordinate mean absolute
 forecast errors over a test set.
 
-:func:`forecast_workflow` (and its CSV front end
-:func:`run_forecast_experiment`) runs the whole pipeline: fit a covariance
+:func:`forecast_workflow` runs the whole pipeline: fit a covariance
 estimator (by name, through :func:`covband.estimators.fit_covariance`) on
 the leading training rows, predict the back half of each test row from its
 front half, and report per-coordinate mean absolute errors next to the
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, NotPositiveDefinite, SingularBlock
-from .estimators import ESTIMATORS, fit_covariance
+from .estimators import fit_covariance
 from .matcore import TaperSpec, cholesky_factor, require_symmetric, single_blas_thread
 from .selection import ESTIMATOR_KINDS, estimate_risk, select_k
 
@@ -228,8 +227,6 @@ def forecast_workflow(
         raise ValueError(f"n_train must be in 1..{n - 1}, got {n_train}")
     if not 1 <= split < p:
         raise ValueError(f"split must be in 1..{p - 1}, got {split}")
-    if estimator_kind not in ESTIMATORS:
-        raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator_kind!r}")
     with single_blas_thread():  # as in estimate_risk
         train = X[:n_train]
         test = X[n_train:]
@@ -258,27 +255,6 @@ def forecast_workflow(
         n_test=test.shape[0],
         errors=errors,
         baseline_errors=baseline,
-    )
-
-
-def run_forecast_experiment(
-    counts_path,
-    n_train: int,
-    split: int,
-    estimator_kind: str = "cholesky",
-    k="auto",
-    transform: str = "sqrt_quarter",
-    taper: TaperSpec | None = None,
-    N: int = 50,
-    n1: int | None = None,
-    norm: str = "one_one",
-    seed: int | None = None,
-) -> ForecastOutcome:
-    """Ingest a counts CSV (with the chosen transform) and run the workflow."""
-    X = ingest_counts(counts_path, transform)
-    return forecast_workflow(
-        X, n_train, split, estimator_kind, k=k, taper=taper,
-        N=N, n1=n1, norm=norm, seed=seed,
     )
 
 

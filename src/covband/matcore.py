@@ -170,12 +170,7 @@ def matrix_norm(M, which: str = "operator") -> float:
     ``frobenius``
         Square root of the sum of squared entries.
     """
-    return unchecked_norm(require_symmetric(M), which)
-
-
-def unchecked_norm(A: np.ndarray, which: str) -> float:
-    """``matrix_norm`` without the entry check, for a float array the
-    caller has already checked to be symmetric (per-bandwidth loops)."""
+    A = require_symmetric(M)
     if which == "operator":
         return float(np.max(np.abs(np.linalg.eigvalsh(A))))
     if which == "one_one":

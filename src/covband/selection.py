@@ -30,7 +30,7 @@ from .estimators import (
     cholesky_covariance_path,
     sample_covariance,
 )
-from .matcore import band_path, require_symmetric, single_blas_thread, unchecked_norm
+from .matcore import band_path, matrix_norm, require_symmetric, single_blas_thread
 from .simgen import CovarianceModel, build_covariance, sample_gaussian, substream
 
 ESTIMATOR_KINDS = ("banded", "cholesky")
@@ -351,7 +351,7 @@ def _spectral_norm(A: np.ndarray) -> float:
     """
     p = A.shape[0]
     if p < _LANCZOS_MIN_P:
-        return unchecked_norm(A, "operator")
+        return matrix_norm(A, "operator")
     m_max = min(p, _LANCZOS_MAX_STEPS)
     Q = np.empty((m_max + 1, p))
     Q[0] = np.random.default_rng(p).standard_normal(p)
@@ -382,7 +382,7 @@ def _spectral_norm(A: np.ndarray) -> float:
             if np.all(r <= np.maximum(_RITZ_RTOL * top, top - ends)):
                 return float(top)
         Q[m] = w / beta[j]
-    return unchecked_norm(A, "operator")
+    return matrix_norm(A, "operator")
 
 
 def _one_one_band_curve(S, T, ks, buf, G, abs_T) -> np.ndarray:

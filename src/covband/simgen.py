@@ -19,7 +19,9 @@ All randomness in this package flows through numpy's PCG64 generator.
 integer path (replication index, split index, ...) identifies a stream
 bit-reproducibly, independent of execution order.  ``sample_gaussian``
 draws a standard normal (n, p) matrix from that stream row-major and maps
-it through the lower Cholesky factor of the target covariance.
+it through the lower Cholesky factor of the target covariance; the factoring and
+the product run on one BLAS thread, so the rows do not depend on the thread
+setting.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import cholesky_factor
+from .matcore import cholesky_factor, single_blas_thread
 
 MODEL_KINDS = ("ma1", "ar1", "fgn")
 
@@ -129,10 +131,11 @@ def sample_gaussian(Sigma, n: int, seed) -> np.ndarray:
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    L = cholesky_factor(Sigma)
-    if isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
-        rng = np.random.default_rng(seed)
-    else:
-        rng = substream(seed)
-    Z = rng.standard_normal((n, L.shape[0]))
-    return Z @ L.T
+    with single_blas_thread():
+        L = cholesky_factor(Sigma)
+        if isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
+            rng = np.random.default_rng(seed)
+        else:
+            rng = substream(seed)
+        Z = rng.standard_normal((n, L.shape[0]))
+        return Z @ L.T

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -11,8 +13,8 @@ from covband.bench import (
     write_ratio_table,
 )
 from covband.errors import DataFormatError
-from covband.estimators import sample_covariance
-from covband.forecast import ForecastOutcome, forecast_workflow, run_forecast_experiment
+from covband.estimators import ESTIMATORS, sample_covariance
+from covband.forecast import ForecastOutcome, forecast_workflow, ingest_counts
 from covband.matcore import TaperSpec, matrix_norm
 from covband.selection import estimate_risk, oracle_k0, oracle_k1, select_k
 from covband.simgen import (
@@ -316,6 +318,12 @@ def test_workflow_validates_sizes():
         forecast_workflow(X, 10, 0)
 
 
+def test_workflow_rejects_an_unknown_estimator():
+    X = np.random.default_rng(3).standard_normal((20, 6))
+    with pytest.raises(ValueError, match=re.escape(str(ESTIMATORS))):
+        forecast_workflow(X, 10, 3, estimator_kind="bogus")
+
+
 def test_independent_coordinates_leave_nothing_to_exploit():
     # identity covariance: the regularized predictor and the baseline both
     # converge to predicting the training mean, so their errors agree
@@ -333,16 +341,15 @@ def test_correlated_halves_reward_regularization():
     assert out.mean_error < 1.0
 
 
-def test_run_forecast_experiment_from_counts_file(tmp_path):
+def test_forecast_workflow_from_counts_file(tmp_path):
     rng = np.random.default_rng(8)
     counts = rng.poisson(9.0, size=(50, 12))
     path = tmp_path / "counts.csv"
     with open(path, "w") as fh:
         for row in counts:
             fh.write(",".join(str(int(v)) for v in row) + "\n")
-    out = run_forecast_experiment(
-        path, 40, 6, estimator_kind="banded", k=1, transform="sqrt_quarter"
-    )
+    X = ingest_counts(path, "sqrt_quarter")
+    out = forecast_workflow(X, 40, 6, estimator_kind="banded", k=1)
     assert isinstance(out, ForecastOutcome)
     assert out.errors.shape == (6,)
     assert np.all(out.errors > 0)

@@ -11,7 +11,7 @@ import covband
 from covband.bench import parse_spec, read_experiment_report
 from covband.cli import main, parse_taper
 from covband.estimators import load_data_csv, sample_covariance
-from covband.matcore import TaperSpec, band, load_matrix_csv
+from covband.matcore import TaperSpec, _openblas_threads, band, load_matrix_csv
 from covband.selection import read_risk_curve
 from covband.simgen import build_covariance, parse_model, sample_gaussian
 
@@ -199,6 +199,14 @@ def test_estimate_cholesky_with_precision(tmp_path, data_file):
     assert np.max(np.abs(P @ C - np.eye(6))) <= 1e-8
 
 
+def test_precision_out_without_k_is_a_usage_error(tmp_path, data_file, capsys):
+    path, _ = data_file
+    assert run("estimate", "--data", str(path), "--estimator", "cholesky",
+               "--out", str(tmp_path / "est.csv"),
+               "--precision-out", str(tmp_path / "prec.csv")) == 1
+    assert "--k" in capsys.readouterr().err
+
+
 def test_estimate_tapered(tmp_path, data_file):
     path, X = data_file
     out = tmp_path / "est.csv"
@@ -327,6 +335,23 @@ def test_bench_files_do_not_depend_on_the_blas_thread_setting(tmp_path):
     one, two = bench(1), bench(2)
     assert len(one) == 4
     assert one == two
+
+
+def test_simulated_data_do_not_depend_on_the_blas_thread_setting(tmp_path):
+    # sample_gaussian factors and maps on one BLAS thread
+    if _openblas_threads() is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+
+    def simulate(threads):
+        out = tmp_path / f"x{threads}.csv"
+        env = {**package_env(), "OPENBLAS_NUM_THREADS": str(threads)}
+        subprocess.run([sys.executable, "-m", "covband.cli", "simulate",
+                        "--model", "ar1:rho=0.5", "--p", "400", "--n", "100",
+                        "--seed", "5", "--out", str(out)],
+                       env=env, capture_output=True, check=True)
+        return out.read_bytes()
+
+    assert simulate(1) == simulate(2)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import types
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE_DIR = ROOT / "src" / "covband"
@@ -39,6 +40,40 @@ def _readme_module_table():
     value_list = re.compile(r"(`\w+`) \((?:`\w+`(?:, )?)+\)")
     return [(module, re.findall(r"`(\w+)`", value_list.sub(r"\1", text)))
             for module, text in rows]
+
+
+PUBLIC_API = set("""
+BandedCholeskyFactors BandwidthTooLarge CovarianceModel CovbandError
+DEGENERACY_GAP DataFormatError ESTIMATORS ESTIMATOR_KINDS EigenComparison
+EigenDecomposition ExperimentReport ExperimentSpec ForecastOutcome
+InsufficientData MODEL_KINDS NORMS NotPositiveDefinite PartitionedMoments
+ReplicationRecord RiskCurve SELECTION_NORMS SelectionResult SingularBlock
+SingularDesign SpectralDegeneracy TAPER_FAMILIES TRANSFORMS TaperSpec
+ZeroTrace band banded_covariance build_covariance cholesky_banded_covariance
+cholesky_covariance_path cholesky_factor conditional_coefficients
+default_k_grid effective_bandwidth eigen_compare estimate_risk
+factors_to_matrices fit_banded_cholesky fit_covariance forecast_error
+forecast_workflow ingest_counts is_positive_definite load_data_csv
+load_matrix_csv log_split_size matrix_norm oracle_k0 oracle_k1 parse_model
+parse_spec partition_moments predict_second_half read_experiment_report
+read_risk_curve require_symmetric run_simulation_experiment
+sample_covariance sample_gaussian save_data_csv save_matrix_csv
+schur_product select_k substream substream_seed sym_eigen symmetrize
+taper_weights tapered_covariance theoretical_bandwidth variance_captured
+write_comparison_csv write_experiment_report write_forecast_report
+write_ratio_table write_risk_curve
+""".split())
+
+
+def test_all_is_the_public_api_and_no_module():
+    # __all__ is derived from the names the package imports, so a submodule
+    # (bound as a side effect of those imports) must not leak into it
+    import covband
+
+    assert len(covband.__all__) == len(PUBLIC_API) == 80
+    assert set(covband.__all__) == PUBLIC_API
+    assert not [name for name in covband.__all__
+                if isinstance(getattr(covband, name), types.ModuleType)]
 
 
 def test_readme_module_table_names_exist():

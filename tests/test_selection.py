@@ -574,7 +574,7 @@ def assert_spectral_norm_is_eigvalsh(A, converges=False):
     a matrix of Lanczos size must get there without the eigvalsh fallback."""
     expected = np.max(np.abs(np.linalg.eigvalsh(A)))
     if converges and A.shape[0] >= _LANCZOS_MIN_P:
-        with mock.patch("covband.selection.unchecked_norm",
+        with mock.patch("covband.selection.matrix_norm",
                         side_effect=AssertionError("fell back to eigvalsh")):
             value = _spectral_norm(A)
     else:
