@@ -24,9 +24,8 @@ from .errors import DataFormatError
 from .estimators import sample_covariance
 from .matcore import matrix_norm, single_blas_thread
 from .selection import (
-    ESTIMATOR_KINDS,
-    SELECTION_NORMS,
     RiskCurve,
+    check_kind_norm,
     estimate_risk,
     oracle_k1,
     select_k,
@@ -79,10 +78,7 @@ class ExperimentSpec:
             raise ValueError("reps must be >= 1")
         if self.N < 1:
             raise ValueError("N must be >= 1")
-        if self.estimator_kind not in ESTIMATOR_KINDS:
-            raise ValueError(f"estimator_kind must be one of {ESTIMATOR_KINDS}")
-        if self.norm not in SELECTION_NORMS:
-            raise ValueError(f"norm must be one of {SELECTION_NORMS}")
+        check_kind_norm(self.estimator_kind, self.norm)
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
@@ -104,10 +100,7 @@ class ExperimentSpec:
 
 def parse_spec(text: str) -> ExperimentSpec:
     """Inverse of :meth:`ExperimentSpec.to_text`."""
-    fields: dict[str, str] = {}
-    for token in text.split():
-        key, value = token.split("=", 1)
-        fields[key] = value
+    fields = dict(token.split("=", 1) for token in text.split())
     n1 = None if fields["n1"] == "default" else int(fields["n1"])
     kg = (
         None

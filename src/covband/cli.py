@@ -17,7 +17,8 @@ Exit codes: 0 on success, 1 on usage errors (bad flags/combinations),
 2 on data or estimation errors (unreadable files, non-PD matrices, ...).
 Every subcommand that consumes randomness takes an explicit ``--seed``;
 given identical flags and seed, output files are byte-identical on the same
-machine with the same BLAS thread setting.
+machine.  Every subcommand runs its numerical work on one BLAS thread, so it
+writes the same bytes under ``OPENBLAS_NUM_THREADS=1`` and ``=2``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .estimators import (
     save_data_csv,
 )
 from .forecast import TRANSFORMS, forecast_workflow, ingest_counts, write_forecast_report
-from .matcore import TAPER_FAMILIES, TaperSpec, save_matrix_csv
+from .matcore import TAPER_FAMILIES, TaperSpec, save_matrix_csv, single_blas_thread
 from .selection import (
     ESTIMATOR_KINDS,
     SELECTION_NORMS,
@@ -70,6 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Banded, tapered, and Cholesky-banded covariance estimation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    resample = argparse.ArgumentParser(add_help=False)  # select, bench and predict
+    resample.add_argument("--N", type=int, default=50, help="number of random splits")
+    resample.add_argument("--n1", type=int, help="split size (default floor(n/3))")
+    resample.add_argument("--norm", default="one_one", choices=SELECTION_NORMS)
 
     p_sim = sub.add_parser("simulate", help="emit a model covariance or sampled data")
     p_sim.add_argument("--model", required=True, help="e.g. ma1:rho=0.5, ar1:rho=0.9, fgn:H=0.7")
@@ -90,18 +95,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_est.set_defaults(func=_cmd_estimate)
 
-    p_sel = sub.add_parser("select", help="risk curve and selected bandwidth")
+    p_sel = sub.add_parser("select", parents=[resample], help="risk curve and selected bandwidth")
     p_sel.add_argument("--data", required=True, help="data CSV, rows = observations")
     p_sel.add_argument("--estimator", default="banded", choices=ESTIMATOR_KINDS)
-    p_sel.add_argument("--N", type=int, default=50, help="number of random splits")
-    p_sel.add_argument("--n1", type=int, help="split size (default floor(n/3))")
-    p_sel.add_argument("--norm", default="one_one", choices=SELECTION_NORMS)
     p_sel.add_argument("--k-max", type=int, help="restrict the grid to 0..k_max")
     p_sel.add_argument("--seed", type=int, required=True)
     p_sel.add_argument("--out", required=True, help="risk curve CSV path")
     p_sel.set_defaults(func=_cmd_select)
 
-    p_ben = sub.add_parser("bench", help="simulation benchmark grid")
+    p_ben = sub.add_parser("bench", parents=[resample], help="simulation benchmark grid")
     p_ben.add_argument(
         "--model", action="append", required=True,
         help="model spec, repeatable (e.g. --model ma1:rho=0.5 --model ar1:rho=0.9)",
@@ -111,15 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ben.add_argument("--n", type=int, default=100)
     p_ben.add_argument("--reps", type=int, default=100)
-    p_ben.add_argument("--N", type=int, default=50)
-    p_ben.add_argument("--n1", type=int, help="split size (default floor(n/3))")
     p_ben.add_argument("--estimator", default="banded", choices=ESTIMATOR_KINDS)
-    p_ben.add_argument("--norm", default="one_one", choices=SELECTION_NORMS)
     p_ben.add_argument("--seed", type=int, required=True)
     p_ben.add_argument("--out-dir", required=True)
     p_ben.set_defaults(func=_cmd_bench)
 
-    p_pre = sub.add_parser("predict", help="partitioned forecasting workflow")
+    p_pre = sub.add_parser("predict", parents=[resample], help="partitioned forecasting workflow")
     p_pre.add_argument("--counts", required=True, help="counts CSV, rows = days")
     p_pre.add_argument("--n-train", type=int, required=True)
     p_pre.add_argument("--split", type=int, required=True)
@@ -127,9 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--k", default="auto", help="bandwidth, or 'auto' to select")
     p_pre.add_argument("--taper", help=f"FAMILY:SCALE with family in {TAPER_FAMILIES}")
     p_pre.add_argument("--transform", default="sqrt_quarter", choices=TRANSFORMS)
-    p_pre.add_argument("--N", type=int, default=50)
-    p_pre.add_argument("--n1", type=int)
-    p_pre.add_argument("--norm", default="one_one", choices=SELECTION_NORMS)
     p_pre.add_argument("--seed", type=int, help="required when --k auto")
     p_pre.add_argument("--out", required=True, help="forecast error CSV path")
     p_pre.add_argument(
@@ -161,13 +157,14 @@ def _cmd_estimate(args) -> int:
     if args.precision_out and args.estimator != "cholesky":
         raise ValueError("--precision-out is only available with --estimator cholesky")
     taper = None if args.taper is None else parse_taper(args.taper)
-    if args.precision_out:  # one fit gives both; its covariance is fit_covariance's
-        if args.k is None:
-            raise ValueError("--estimator cholesky requires --k")
-        precision, S = factors_to_matrices(fit_banded_cholesky(X, args.k))
-        save_matrix_csv(args.precision_out, precision)
-    else:
-        S = fit_covariance(X, args.estimator, k=args.k, taper=taper)
+    with single_blas_thread():  # so the written bytes do not depend on the thread setting
+        if args.precision_out:  # one fit gives both; its covariance is fit_covariance's
+            if args.k is None:
+                raise ValueError("--estimator cholesky requires --k")
+            precision, S = factors_to_matrices(fit_banded_cholesky(X, args.k))
+            save_matrix_csv(args.precision_out, precision)
+        else:
+            S = fit_covariance(X, args.estimator, k=args.k, taper=taper)
     save_matrix_csv(args.out, S)
     print(f"wrote {args.estimator} covariance estimate to {args.out}")
     return 0
@@ -213,20 +210,13 @@ def _cmd_bench(args) -> int:
             reports.append(report)
             slug = spec.slug()
             write_experiment_report(os.path.join(args.out_dir, f"report_{slug}.csv"), report)
-            true_curve = dataclasses.replace(
-                report.est_risk_single, risk=report.true_risk, N=None, n1=None, n2=None, seed=None
-            )
-            write_risk_curve(
-                os.path.join(args.out_dir, f"true_risk_{slug}.csv"),
-                true_curve,
-                k_hat=report.k0,
-            )
             single = report.est_risk_single
-            write_risk_curve(
-                os.path.join(args.out_dir, f"est_risk_{slug}.csv"),
-                single,
-                k_hat=select_k(single).k_hat,
+            true_curve = dataclasses.replace(
+                single, risk=report.true_risk, N=None, n1=None, n2=None, seed=None
             )
+            for name, curve, k_hat in (("true_risk", true_curve, report.k0),
+                                       ("est_risk", single, select_k(single).k_hat)):
+                write_risk_curve(os.path.join(args.out_dir, f"{name}_{slug}.csv"), curve, k_hat)
             agg = report.aggregates()
             print(
                 f"{slug}: k0={report.k0} k_hat_mean={agg['k_hat'][0]:.2f} "

@@ -200,11 +200,9 @@ def save_data_csv(path, X) -> None:
 
 
 def _cholesky_input(X, k) -> tuple[np.ndarray, int]:
-    """Validated data matrix and bandwidth of a Cholesky fit, 0 <= k <= n - 2."""
+    """Validated data matrix and bandwidth of a Cholesky fit, k <= n - 2."""
     X = as_data_matrix(X)
     k, n = int(k), X.shape[0]
-    if k < 0:
-        raise ValueError("bandwidth k must be >= 0")
     if k > n - 2:
         raise BandwidthTooLarge(f"bandwidth k={k} needs n >= k + 2 observations, got n={n}")
     return X, k

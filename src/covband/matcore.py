@@ -71,15 +71,14 @@ def band(M, k: int) -> np.ndarray:
     k = int(k)
     if k < 0:
         raise ValueError("bandwidth k must be >= 0")
-    return next(band_path(M, [k]))
+    return next(band_path(require_symmetric(M), [k]))
 
 
-def band_path(M, ks):
-    """Yield ``band(M, k)`` for each k of the ascending nonnegative ``ks``.
+def band_path(A, ks):
+    """Yield ``band(A, k)`` for each k of the ascending nonnegative ``ks``.
 
-    ``M`` is checked and the distance mask built once, not per bandwidth.
+    The caller has checked ``A``; the distance mask is built once, not per bandwidth.
     """
-    A = require_symmetric(M)
     distance = _distance_grid(A.shape[0])
     for k in ks:
         yield np.where(distance <= k, A, 0.0)
@@ -150,8 +149,6 @@ def effective_bandwidth(t: TaperSpec, p: int) -> float:
     p = int(p)
     if p < 1:
         raise ValueError("p must be >= 1")
-    if p == 1:
-        return 0.0
     return float(np.sum(t.weight_at(np.arange(1, p))))
 
 
@@ -201,10 +198,8 @@ def sym_eigen(M) -> EigenDecomposition:
     for a fixed input.
     """
     A = require_symmetric(M)
-    w, V = np.linalg.eigh(A)
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    V = V[:, order]
+    w, V = np.linalg.eigh(A)  # ascending
+    w, V = w[::-1].copy(), V[:, ::-1].copy()
     w.setflags(write=False)
     V.setflags(write=False)
     return EigenDecomposition(eigenvalues=w, eigenvectors=V)

@@ -64,7 +64,7 @@ class RiskCurve:
             raise ValueError("k_grid must be strictly ascending nonnegative integers")
         if not np.all(np.isfinite(r)) or np.any(r < 0):
             raise ValueError("risk values must be finite and >= 0")
-        _check_kind_norm(self.estimator_kind, self.norm)
+        check_kind_norm(self.estimator_kind, self.norm)
         if self.N is not None:
             if self.N < 1:
                 raise ValueError("N must be >= 1")
@@ -89,6 +89,14 @@ class SelectionResult:
             raise ValueError("k_hat must lie on the curve's grid")
         if self.curve.risk[np.searchsorted(ks, self.k_hat)] != self.curve.risk.min():
             raise ValueError("k_hat must attain the minimum risk")
+
+
+def check_kind_norm(kind, norm) -> None:
+    """Raise ValueError unless ``kind`` is in ESTIMATOR_KINDS and ``norm`` in SELECTION_NORMS."""
+    if kind not in ESTIMATOR_KINDS:
+        raise ValueError(f"estimator_kind must be one of {ESTIMATOR_KINDS}, got {kind!r}")
+    if norm not in SELECTION_NORMS:
+        raise ValueError(f"norm must be one of {SELECTION_NORMS}, got {norm!r}")
 
 
 def default_k_grid(p: int, estimator_kind: str, n_fit: int) -> np.ndarray:
@@ -138,7 +146,7 @@ def estimate_risk(
         raise InsufficientData(f"both split groups need >= 2 rows, got n1={n1}, n2={n2}")
     if N < 1:
         raise ValueError("N must be >= 1")
-    _check_kind_norm(estimator_kind, norm)
+    check_kind_norm(estimator_kind, norm)
     ks = _check_k_grid(k_grid, p, estimator_kind, n1, "n1")
 
     total = np.zeros(ks.size)
@@ -184,7 +192,7 @@ def oracle_k1(X, truth, k_grid=None, estimator_kind: str = "banded",
     truth = require_symmetric(truth, "truth")
     if truth.shape != (p, p):
         raise ValueError(f"truth must be {p} x {p}, got {truth.shape}")
-    _check_kind_norm(estimator_kind, norm)
+    check_kind_norm(estimator_kind, norm)
     ks = _check_k_grid(k_grid, p, estimator_kind, n, "n")
     with single_blas_thread():  # see estimate_risk
         losses = _split_loss_curve(p, ks, estimator_kind, norm)(sample_covariance(X), truth)
@@ -416,13 +424,6 @@ def _one_one_band_curve(S, T, ks, buf, G, abs_T) -> np.ndarray:
     np.add(left, right, out=G[:, 1:])
     np.cumsum(G, axis=1, out=G)
     return G.max(axis=0)[kc]
-
-
-def _check_kind_norm(kind, norm):
-    if kind not in ESTIMATOR_KINDS:
-        raise ValueError(f"estimator_kind must be one of {ESTIMATOR_KINDS}, got {kind!r}")
-    if norm not in SELECTION_NORMS:
-        raise ValueError(f"norm must be one of {SELECTION_NORMS}, got {norm!r}")
 
 
 def _check_k_grid(k_grid, p, kind, n_fit, fit_name) -> np.ndarray:

@@ -49,11 +49,7 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 def substream_seed(seed: int, *path: int) -> int:
     """A derived 64-bit integer seed for handing to APIs that take one."""
-    if int(seed) < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    entropy = [int(seed)] + [int(x) for x in path]
-    state = np.random.SeedSequence(entropy).generate_state(2, np.uint32)
-    return int(state[0]) | (int(state[1]) << 32)
+    return int(substream(seed, *path).bit_generator.seed_seq.generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -123,19 +119,16 @@ def build_covariance(model: CovarianceModel, p: int) -> np.ndarray:
 def sample_gaussian(Sigma, n: int, seed) -> np.ndarray:
     """Draw n i.i.d. mean-zero Gaussian rows with covariance ``Sigma``.
 
-    ``seed`` may be an integer or a ``numpy.random.SeedSequence``.  Rows are
-    ``L @ z`` with L the lower Cholesky factor of Sigma and z standard
-    normal; a covariance failing the Cholesky test (e.g. the rank-one fgn
-    matrix at H = 1) raises :class:`~covband.errors.NotPositiveDefinite`.
+    ``seed`` is an integer (the stream of ``substream(seed)``), a
+    ``SeedSequence`` or a ``Generator``.  Rows are ``L @ z`` with L the lower
+    Cholesky factor of Sigma and z standard normal; a covariance failing the
+    Cholesky test (e.g. the rank-one fgn matrix at H = 1) raises
+    :class:`~covband.errors.NotPositiveDefinite`.
     """
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     with single_blas_thread():
         L = cholesky_factor(Sigma)
-        if isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
-            rng = np.random.default_rng(seed)
-        else:
-            rng = substream(seed)
-        Z = rng.standard_normal((n, L.shape[0]))
+        Z = np.random.default_rng(seed).standard_normal((n, L.shape[0]))
         return Z @ L.T

@@ -294,36 +294,12 @@ def test_bench_is_byte_deterministic(tmp_path):
         assert (d1 / f).read_bytes() == (d2 / f).read_bytes()
 
 
-def test_bench_reproducibility_across_blas_thread_settings(tmp_path):
-    # bit-identical output holds for one BLAS thread setting; across settings
-    # the last digits may move, but every selected bandwidth must not
-    def bench(threads, out_dir):
-        env = {**package_env(), "OPENBLAS_NUM_THREADS": str(threads)}
-        subprocess.run([sys.executable, "-m", "covband.cli", "bench",
-                        "--model", "ar1:rho=0.7", "--p", "150", "--n", "60", "--reps", "2",
-                        "--N", "4", "--estimator", "cholesky", "--norm", "operator",
-                        "--seed", "3", "--out-dir", str(out_dir)],
-                       env=env, capture_output=True, check=True)
-        return out_dir
-
-    first, second = bench(2, tmp_path / "a"), bench(2, tmp_path / "b")
-    one = bench(1, tmp_path / "c")
-    names = sorted(p.name for p in first.iterdir())
-    assert names == sorted(p.name for p in second.iterdir())
-    for name in names:
-        assert (first / name).read_bytes() == (second / name).read_bytes()
-    report = "report_cholesky_ar1_rho0.7_p150_n60.csv"
-    _, k0_two, _, records_two = read_experiment_report(first / report)
-    _, k0_one, _, records_one = read_experiment_report(one / report)
-    assert k0_one == k0_two
-    assert [(r.k_hat, r.k1) for r in records_one] == [(r.k_hat, r.k1) for r in records_two]
-
-
 def test_bench_files_do_not_depend_on_the_blas_thread_setting(tmp_path):
     # the sampler and every curve run capped at one BLAS thread, so a process
-    # started with two threads writes the bytes of one started with one
-    def bench(threads):
-        out_dir = tmp_path / str(threads)
+    # started with two threads writes the bytes of one started with one, and
+    # two processes with one setting write the same bytes
+    def bench(threads, name):
+        out_dir = tmp_path / name
         env = {**package_env(), "OPENBLAS_NUM_THREADS": str(threads)}
         subprocess.run([sys.executable, "-m", "covband.cli", "bench",
                         "--model", "ar1:rho=0.7", "--p", "150", "--n", "60", "--reps", "2",
@@ -332,9 +308,10 @@ def test_bench_files_do_not_depend_on_the_blas_thread_setting(tmp_path):
                        env=env, capture_output=True, check=True)
         return {p.name: p.read_bytes() for p in out_dir.iterdir()}
 
-    one, two = bench(1), bench(2)
-    assert len(one) == 4
-    assert one == two
+    first, second, one = bench(2, "a"), bench(2, "b"), bench(1, "c")
+    assert len(first) == 4
+    assert first == second
+    assert one == first
 
 
 def test_simulated_data_do_not_depend_on_the_blas_thread_setting(tmp_path):
@@ -352,6 +329,31 @@ def test_simulated_data_do_not_depend_on_the_blas_thread_setting(tmp_path):
         return out.read_bytes()
 
     assert simulate(1) == simulate(2)
+
+
+def test_estimated_matrices_do_not_depend_on_the_blas_thread_setting(tmp_path):
+    # estimate fits on one BLAS thread, its Cholesky precision included
+    if _openblas_threads() is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    data = tmp_path / "fgn.csv"
+    np.savetxt(data, sample_gaussian(build_covariance(parse_model("fgn:H=0.9"), 102), 100, 5),
+               delimiter=",", fmt="%.17g")
+
+    def estimate(threads):
+        env = {**package_env(), "OPENBLAS_NUM_THREADS": str(threads)}
+        out = tmp_path / str(threads)
+        out.mkdir()
+        for args in (["--estimator", "sample", "--out", str(out / "sample.csv")],
+                     ["--estimator", "cholesky", "--k", "98", "--out", str(out / "chol.csv"),
+                      "--precision-out", str(out / "prec.csv")]):
+            subprocess.run([sys.executable, "-m", "covband.cli", "estimate",
+                            "--data", str(data), *args],
+                           env=env, capture_output=True, check=True)
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    one = estimate(1)
+    assert len(one) == 3
+    assert estimate(2) == one
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,27 @@ def test_no_module_imports_another_modules_private_names():
     assert offenders == []
 
 
+def test_every_module_level_import_is_used():
+    # a deletion must not leave a dead import behind; a re-export says so with
+    # "# noqa: F401" on its line.  __init__.py is exempt: its imports are the API
+    unused = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        lines = source.splitlines()
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.name}:{alias.lineno} {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in names
+                           and "# noqa: F401" not in lines[alias.lineno - 1]]
+    assert unused == []
+
+
 def _readme_module_table():
     """(module, backticked names) per row of the README's module table.
 

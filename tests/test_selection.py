@@ -441,6 +441,22 @@ def test_banded_one_one_peak_memory_does_not_grow_with_splits():
     assert peaks[1] - peaks[0] < 600 * 600 * 8 / 4
 
 
+def test_banded_operator_curve_does_not_recheck_each_split():
+    # split covariances are symmetric by construction and band_path trusts
+    # its caller, so a curve's symmetry checks must not grow with its splits
+    # (p = 200 takes the Lanczos norm, which checks nothing)
+    from covband import matcore
+
+    X = np.random.default_rng(18).standard_normal((30, 200))
+    calls = []
+    for N in (1, 3):
+        with mock.patch.object(matcore, "require_symmetric",
+                               wraps=matcore.require_symmetric) as spy:
+            estimate_risk(X, k_grid=[0, 2, 5], N=N, norm="operator", seed=0)
+        calls.append(spy.call_count)
+    assert calls[0] == calls[1]
+
+
 def test_oracle_k1_rejects_an_asymmetric_truth():
     X = np.random.default_rng(11).standard_normal((10, 3))
     truth = np.eye(3)

@@ -164,6 +164,9 @@ def test_substream_seed_is_deterministic_64_bit():
     assert s1 == s2
     assert s1 != s3
     assert 0 <= s1 < 2**64
+    # pinned: the first 64-bit word of substream(seed, *path)'s seed state
+    assert s1 == 9708532199024898782
+    assert substream_seed(2**64 - 1, 5) == 3086742927110360948
 
 
 # ---------------------------------------------------------------------------
@@ -214,3 +217,9 @@ def test_sample_gaussian_accepts_seed_sequence_and_generator():
     g = np.random.default_rng(9)
     c = sample_gaussian(S, 4, g)
     assert c.shape == (4, 3)
+    # an integer seed draws the stream of substream(seed) = SeedSequence([seed])
+    for seed in (0, 5, 2**63):
+        assert_array_equal(sample_gaussian(S, 4, seed),
+                           sample_gaussian(S, 4, np.random.SeedSequence([seed])))
+    with pytest.raises(TypeError):
+        sample_gaussian(S, 4, 5.0)
