@@ -294,12 +294,36 @@ def test_bench_is_byte_deterministic(tmp_path):
         assert (d1 / f).read_bytes() == (d2 / f).read_bytes()
 
 
+def test_bench_reproducibility_across_blas_thread_settings(tmp_path):
+    # two processes with one BLAS thread setting write the same bytes, and a
+    # process with another setting selects the same bandwidths
+    def bench(threads, out_dir):
+        env = {**package_env(), "OPENBLAS_NUM_THREADS": str(threads)}
+        subprocess.run([sys.executable, "-m", "covband.cli", "bench",
+                        "--model", "ar1:rho=0.7", "--p", "150", "--n", "60", "--reps", "2",
+                        "--N", "4", "--estimator", "cholesky", "--norm", "operator",
+                        "--seed", "3", "--out-dir", str(out_dir)],
+                       env=env, capture_output=True, check=True)
+        return out_dir
+
+    first, second = bench(2, tmp_path / "a"), bench(2, tmp_path / "b")
+    one = bench(1, tmp_path / "c")
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    report = "report_cholesky_ar1_rho0.7_p150_n60.csv"
+    _, k0_two, _, records_two = read_experiment_report(first / report)
+    _, k0_one, _, records_one = read_experiment_report(one / report)
+    assert k0_one == k0_two
+    assert [(r.k_hat, r.k1) for r in records_one] == [(r.k_hat, r.k1) for r in records_two]
+
+
 def test_bench_files_do_not_depend_on_the_blas_thread_setting(tmp_path):
     # the sampler and every curve run capped at one BLAS thread, so a process
-    # started with two threads writes the bytes of one started with one, and
-    # two processes with one setting write the same bytes
-    def bench(threads, name):
-        out_dir = tmp_path / name
+    # started with two threads writes the bytes of one started with one
+    def bench(threads):
+        out_dir = tmp_path / str(threads)
         env = {**package_env(), "OPENBLAS_NUM_THREADS": str(threads)}
         subprocess.run([sys.executable, "-m", "covband.cli", "bench",
                         "--model", "ar1:rho=0.7", "--p", "150", "--n", "60", "--reps", "2",
@@ -308,10 +332,9 @@ def test_bench_files_do_not_depend_on_the_blas_thread_setting(tmp_path):
                        env=env, capture_output=True, check=True)
         return {p.name: p.read_bytes() for p in out_dir.iterdir()}
 
-    first, second, one = bench(2, "a"), bench(2, "b"), bench(1, "c")
-    assert len(first) == 4
-    assert first == second
-    assert one == first
+    one, two = bench(1), bench(2)
+    assert len(one) == 4
+    assert one == two
 
 
 def test_simulated_data_do_not_depend_on_the_blas_thread_setting(tmp_path):
