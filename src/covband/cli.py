@@ -271,6 +271,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:  # before any file is written
+            raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
         return args.func(args)
     except np.linalg.LinAlgError as exc:  # a ValueError, but an estimation failure
         print(f"covband: linear algebra failure: {exc}", file=sys.stderr)

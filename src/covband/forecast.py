@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, NotPositiveDefinite, SingularBlock
-from .estimators import fit_covariance
+from .estimators import as_data_matrix, fit_covariance
 from .matcore import TaperSpec, cholesky_factor, require_symmetric, single_blas_thread
 from .selection import ESTIMATOR_KINDS, estimate_risk, select_k
 
@@ -221,7 +221,7 @@ def forecast_workflow(
     errors are returned for the chosen estimator and for the
     sample-covariance baseline.
     """
-    X = np.asarray(X, dtype=float)
+    X = as_data_matrix(X)
     n, p = X.shape
     if not 1 <= n_train < n:
         raise ValueError(f"n_train must be in 1..{n - 1}, got {n_train}")

@@ -136,8 +136,6 @@ def estimate_risk(
     """
     X = as_data_matrix(X)
     n, p = X.shape
-    if n < 4:
-        raise InsufficientData(f"risk estimation needs n >= 4 observations, got {n}")
     if n1 is None:
         n1 = n // 3
     n1 = int(n1)

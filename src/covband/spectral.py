@@ -3,9 +3,11 @@
 Quantifies how well a regularized covariance estimate reproduces the top
 of the true spectrum: per-eigenvalue errors, operator-norm distances
 between the rank-one spectral projectors, and the fraction of total
-variance the leading eigenvalues capture.  Projector comparison requires
-the compared true eigenvalues to be simple (consecutively separated);
-near-degenerate spectra are rejected rather than clustered.
+variance the leading eigenvalues capture.  For unit vectors the projector
+distance is the sine of the angle between them, so ``projection_errors[j]``
+is sin angle(v_hat_j, v_j) (Davis & Kahan 1970).  Projector comparison
+requires the compared true eigenvalues to be simple (consecutively
+separated); near-degenerate spectra are rejected rather than clustered.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpectralDegeneracy, ZeroTrace
-from .matcore import matrix_norm, require_symmetric, sym_eigen
+from .matcore import require_symmetric, sym_eigen
 
 # True consecutive gaps below this are treated as degenerate: projector
 # pairing is meaningless below eigensolver resolution.
@@ -27,10 +29,10 @@ class EigenComparison:
     """Per-eigenvalue comparison of an estimate against the truth.
 
     ``eigenvalue_errors[j]`` is |lambda_j(estimate) - lambda_j(truth)| and
-    ``projection_errors[j]`` the operator norm of the difference of the
-    rank-one projectors onto the j-th eigenvectors, for the m leading
-    (descending) eigenvalues.  ``gap`` is the smallest consecutive gap
-    among the top m + 1 true eigenvalues.
+    ``projection_errors[j]`` is sin angle(v_hat_j, v_j), the operator norm
+    of the difference of the rank-one projectors onto the j-th
+    eigenvectors, for the m leading (descending) eigenvalues.  ``gap`` is
+    the smallest consecutive gap among the top m + 1 true eigenvalues.
     """
 
     m: int
@@ -44,11 +46,10 @@ class EigenComparison:
 def eigen_compare(estimate, truth, m: int) -> EigenComparison:
     """Compare the top m eigenvalues/eigenvectors of estimate and truth.
 
-    Eigenvector signs are aligned (each estimated vector flipped to have
-    nonnegative inner product with its true partner) before projectors are
-    differenced, so the result is invariant to sign conventions.  Raises
-    :class:`SpectralDegeneracy` if any consecutive gap among the top m + 1
-    true eigenvalues falls below ``DEGENERACY_GAP``.
+    The projector errors are ||w - (v'w) v|| for each true eigenvector v and
+    estimated w; they do not depend on eigenvector signs, because a projector
+    does not.  Raises :class:`SpectralDegeneracy` if any consecutive gap
+    among the top m + 1 true eigenvalues falls below ``DEGENERACY_GAP``.
     """
     E = require_symmetric(estimate, "estimate")
     T = require_symmetric(truth, "truth")
@@ -74,18 +75,12 @@ def eigen_compare(estimate, truth, m: int) -> EigenComparison:
             f"(< {DEGENERACY_GAP}); projector comparison is not meaningful"
         )
 
-    val_err = np.abs(lam_e[:m] - lam_t[:m])
-    proj_err = np.empty(m)
-    for j in range(m):
-        v = dec_t.eigenvectors[:, j]
-        w = dec_e.eigenvectors[:, j]
-        if w @ v < 0:
-            w = -w
-        proj_err[j] = matrix_norm(np.outer(w, w) - np.outer(v, v), "operator")
+    V = dec_t.eigenvectors[:, :m]
+    W = dec_e.eigenvectors[:, :m]
     return EigenComparison(
         m=m,
-        eigenvalue_errors=val_err,
-        projection_errors=proj_err,
+        eigenvalue_errors=np.abs(lam_e[:m] - lam_t[:m]),
+        projection_errors=np.linalg.norm(W - V * np.sum(V * W, axis=0), axis=0),
         gap=gap,
         lambda_true=lam_t[:m].copy(),
         lambda_est=lam_e[:m].copy(),
@@ -103,7 +98,7 @@ def variance_captured(truth, m: int) -> float:
     m = int(m)
     if not 1 <= m <= p:
         raise ValueError(f"m must be in 1..{p}, got {m}")
-    lam = sym_eigen(T).eigenvalues
+    lam = np.linalg.eigvalsh(T)[::-1]
     total = float(np.sum(lam))
     if total <= 0:
         raise ZeroTrace("variance fraction undefined: trace <= 0")

@@ -318,6 +318,12 @@ def test_workflow_validates_sizes():
         forecast_workflow(X, 10, 0)
 
 
+@pytest.mark.parametrize("shape", [(5,), (4, 5, 6)])
+def test_workflow_rejects_data_that_is_not_a_matrix(shape):
+    with pytest.raises(ValueError, match="2-D"):
+        forecast_workflow(np.ones(shape), 3, 2, k=1)
+
+
 def test_workflow_rejects_an_unknown_estimator():
     X = np.random.default_rng(3).standard_normal((20, 6))
     with pytest.raises(ValueError, match=re.escape(str(ESTIMATORS))):

@@ -252,6 +252,28 @@ def test_select_with_restricted_grid(tmp_path, data_file):
     assert_array_equal(ks, [0, 1, 2])
 
 
+@pytest.mark.parametrize("command", ["simulate", "select", "bench", "predict-auto", "predict-k3"])
+def test_negative_seed_is_one_usage_error_for_every_command(tmp_path, data_file, capsys,
+                                                            command):
+    counts = tmp_path / "counts.csv"
+    np.savetxt(counts, np.random.default_rng(3).poisson(5.0, (12, 4)), delimiter=",")
+    out = tmp_path / "out"
+    argv = {
+        "simulate": ("simulate", "--model", "ar1:rho=0.5", "--p", "5", "--n", "10",
+                     "--out", str(out)),
+        "select": ("select", "--data", str(data_file[0]), "--out", str(out)),
+        "bench": ("bench", "--model", "ma1:rho=0.5", "--p", "8", "--n", "30", "--reps", "1",
+                  "--N", "2", "--out-dir", str(out)),
+        "predict-auto": ("predict", "--counts", str(counts), "--n-train", "8", "--split", "2",
+                         "--k", "auto", "--out", str(out)),
+        "predict-k3": ("predict", "--counts", str(counts), "--n-train", "8", "--split", "2",
+                       "--k", "3", "--out", str(out)),
+    }[command]
+    assert run(*argv, "--seed", "-1") == 1
+    assert "--seed" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.csv", "data.csv"]
+
+
 def test_select_requires_seed(tmp_path, data_file):
     path, _ = data_file
     assert run("select", "--data", str(path), "--out", str(tmp_path / "c.csv")) == 1

@@ -266,6 +266,39 @@ def test_covariance_matches_the_solve_reference_across_block_boundaries(p):
         assert np.max(np.abs(C - S)[inside]) <= 1e-10 * np.max(np.abs(S)), k
 
 
+def _walk_data(kind, seed, p, n=33):
+    """n rows of white noise, AR(1) rho = 0.9, a random walk along the
+    coordinates, or an integrated random walk."""
+    if kind == "ar1":
+        return sample_gaussian(build_covariance(CovarianceModel("ar1", 0.9), p), n, seed)
+    Z = np.random.default_rng(seed).standard_normal((n, p))
+    for _ in range(("white", "walk", "integrated-walk").index(kind)):
+        Z = np.cumsum(Z, axis=1)
+    return Z
+
+
+@pytest.mark.parametrize(
+    "kind, p",
+    [(kind, p) for kind in ("white", "ar1", "walk", "integrated-walk") for p in (102, 400)]
+    + [("walk", 1000)],
+)
+def test_covariance_error_scales_with_the_squared_condition_number(kind, p):
+    # Sigma = W^-1 D W^-T with W = I - A, against numpy's inverse: relative
+    # max-abs error at most eps kappa_2(W)^2 (a bound linear in kappa fails).
+    # The integrated walk at k = 31 is left out: at p = 400 its fit can be
+    # refused with SingularDesign, the designed outcome, not an accuracy failure.
+    eps = np.finfo(float).eps
+    for seed in (0,) if p == 1000 else (0, 1, 2):
+        X = _walk_data(kind, seed, p)
+        for k in (1, 5) if kind == "integrated-walk" else (1, 5, 31):
+            f = fit_banded_cholesky(X, k)
+            W = np.eye(p) - f.A
+            W_inv = np.linalg.inv(W)
+            reference = (W_inv * f.D) @ W_inv.T
+            error = np.max(np.abs(factors_to_matrices(f)[1] - reference))
+            assert error <= eps * np.linalg.cond(W) ** 2 * np.max(np.abs(reference)), (seed, k)
+
+
 def test_covariance_path_chunks_match_single_fits():
     # at p = 200 three estimates fill a chunk, so ks spans three chunks
     X = _mixed_gaussian(40, 200)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from covband.errors import SpectralDegeneracy, ZeroTrace
@@ -64,6 +66,42 @@ def test_projection_errors_ignore_eigenvector_sign():
     estimate = symmetrize(flipped @ np.diag(dec.eigenvalues) @ flipped.T)
     cmp = eigen_compare(estimate, truth, 4)
     assert np.max(cmp.projection_errors) <= 1e-8
+
+
+def _unit(x):
+    return x / np.linalg.norm(x)
+
+
+@st.composite
+def unit_vector_pairs(draw):
+    """Unit vectors (v, w) in R^p: independent, or w = +-v plus a perturbation
+    of size 1e-12 .. 1e-1 (near-parallel and near-antiparallel pairs)."""
+    p = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = _unit(rng.standard_normal(p))
+    sign = draw(st.sampled_from([None, 1.0, -1.0]))
+    if sign is None:
+        return v, _unit(rng.standard_normal(p))
+    size = 10.0 ** draw(st.floats(-12.0, -1.0))
+    return v, _unit(sign * v + size * rng.standard_normal(p))
+
+
+NEAR = _unit(np.array([1.0, 2.0, 3.0, 4.0]))
+TILT = 1e-9 * np.array([1.0, -1.0, 1.0, -1.0])
+
+
+@given(unit_vector_pairs())
+@example((NEAR, _unit(NEAR + TILT)))
+@example((NEAR, _unit(-NEAR + TILT)))
+@example((NEAR, -NEAR))
+@example((np.array([1.0, 0.0]), np.array([0.0, 1.0])))
+def test_projection_error_is_the_projector_distance_property(pair):
+    # the top eigenvectors of I + vv' and I + ww' are +-v and +-w
+    v, w = pair
+    p = v.size
+    cmp = eigen_compare(np.eye(p) + np.outer(w, w), np.eye(p) + np.outer(v, v), 1)
+    definition = matrix_norm(np.outer(w, w) - np.outer(v, v), "operator")
+    assert abs(cmp.projection_errors[0] - definition) <= 1e-14
 
 
 def test_degenerate_spectrum_is_rejected():
