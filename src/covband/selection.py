@@ -149,17 +149,15 @@ def estimate_risk(
 
     total = np.zeros(ks.size)
     split_loss_curve = _split_loss_curve(p, ks, estimator_kind, norm)
-    # Every curve runs on one BLAS thread, sample covariances included: a
-    # second thread does not speed up its products, and after each threaded
-    # one an idle OpenBLAS thread spins for about 0.1 s, which doubled the
-    # CPU time of the banded (1,1) and the operator-norm curves.
+    # Every curve runs on one BLAS thread, each product of the split data
+    # included (sample covariances, the (1,1) curve's per-block Gram rows):
+    # a second thread does not speed up those products, and after each
+    # threaded one an idle OpenBLAS thread spins for about 0.1 s, which
+    # doubled the CPU time of the banded (1,1) and operator-norm curves.
     with single_blas_thread():
         for nu in range(N):
             perm = substream(seed, nu).permutation(n)
-            S1 = sample_covariance(X[perm[:n1]])
-            S2 = sample_covariance(X[perm[n1:]])
-            total += split_loss_curve(S1, S2)
-            del S1, S2  # not alive beside the workspace while the next pair is built
+            total += split_loss_curve(X[perm[:n1]], X[perm[n1:]])
     return RiskCurve(
         k_grid=ks,
         risk=total / N,
@@ -193,7 +191,7 @@ def oracle_k1(X, truth, k_grid=None, estimator_kind: str = "banded",
     check_kind_norm(estimator_kind, norm)
     ks = _check_k_grid(k_grid, p, estimator_kind, n, "n")
     with single_blas_thread():  # see estimate_risk
-        losses = _split_loss_curve(p, ks, estimator_kind, norm)(sample_covariance(X), truth)
+        losses = _split_loss_curve(p, ks, estimator_kind, norm, truth=True)(X, truth)
     curve = RiskCurve(
         k_grid=ks, risk=losses, estimator_kind=estimator_kind,
         N=None, n1=None, n2=None, norm=norm, seed=None,
@@ -290,25 +288,28 @@ def read_risk_curve(path) -> tuple[np.ndarray, np.ndarray, int | None]:
 # ---------------------------------------------------------------------------
 
 
-def _split_loss_curve(p, ks, estimator_kind, norm):
-    """The function (S_fit, target) -> ||estimate_k - target|| for every k
-    in ks, the estimator built from the p x p sample covariance ``S_fit``.
+def _split_loss_curve(p, ks, estimator_kind, norm, truth=False):
+    """The function (X_fit, target) -> ||estimate_k - target|| for every k
+    in ks, the estimator fit on the (n, p) data ``X_fit``.
 
-    Both matrices are exactly symmetric float arrays: sample covariances,
-    or a truth ``oracle_k1`` has checked.  Banded (1,1) curves take the
-    diagonal fast path, on one workspace that the function holds for its
-    whole life; every other case takes one norm per bandwidth, on
-    ``band_path`` or ``cholesky_covariance_path`` estimates.  The operator
-    norm is :func:`_spectral_norm` (Lanczos from a fixed start, falling
-    back to ``eigvalsh``).
+    ``target`` is data, scored through its sample covariance, or with
+    ``truth`` set a symmetric p x p truth that ``oracle_k1`` has checked.
+    Banded (1,1) curves take the row-blocked diagonal path straight from
+    the data; every other case takes the sample covariances and one norm
+    per bandwidth, on ``band_path`` or ``cholesky_covariance_path``
+    estimates.  The operator norm is :func:`_spectral_norm` (Lanczos from a
+    fixed start, falling back to ``eigvalsh``).  Callers run it on one BLAS
+    thread, every sample covariance and per-block Gram product included.
     """
     if estimator_kind == "banded" and norm == "one_one":
-        K = min(int(ks[-1]), p - 1)
-        work = np.zeros(p * (p + K) + K), np.empty((p, K + 1)), np.empty((p, p))
-        return lambda S_fit, target: _one_one_band_curve(S_fit, target, ks, *work)
+        blocked = _one_one_band_curve(p, ks)
+        target_rows = (lambda T: lambda J, out: T[J]) if truth else _gram_rows
+        return lambda X_fit, target: blocked(_gram_rows(X_fit), target_rows(target))
     path = band_path if estimator_kind == "banded" else cholesky_covariance_path
 
-    def curve(S_fit, target):
+    def curve(X_fit, target):
+        S_fit, target = sample_covariance(X_fit), target if truth else sample_covariance(target)
+
         def loss(E):  # E is a fresh array, so it can hold its own difference
             np.subtract(E, target, out=E)
             if norm == "operator":
@@ -391,37 +392,63 @@ def _spectral_norm(A: np.ndarray) -> float:
     return matrix_norm(A, "operator")
 
 
-def _one_one_band_curve(S, T, ks, buf, G, abs_T) -> np.ndarray:
-    """||B_k(S) - T||_(1,1) for every k in ks, accumulated along diagonals.
+def _gram_rows(X):
+    """(J, out) -> rows J of the sample covariance of the data X, written
+    into ``out`` as A[:, J].T @ A / n from the centred A; for all rows numpy
+    runs one ``syrk``, the bytes of ``sample_covariance(X)``."""
+    A = X - X.mean(axis=0)
+    return lambda J, out: np.divide(np.matmul(A[:, J].T, A, out=out), len(A), out=out)
 
-    With Delta = |S - T| - |T|, column j's sum at bandwidth k is
-    colsum|T|_j + sum over |d| <= k of Delta[j + d, j]: inside the band
-    |S - T| replaces |T|.  S and T are symmetric, so column j of Delta is
-    its row j.  Each row is stored after K zeros, which makes the entries
-    at distance d left and right of the diagonal two strided views of one
-    buffer (zero where j - d < 0 or j + d >= p).  One cumulative sum over d
-    then gives every bandwidth up to K = min(max k, p - 1) in O(p^2 + K p);
-    bandwidths past p - 1 repeat the value at p - 1.  The caller's scratch
-    ``buf`` (p (p + K) + K zeros), ``G`` (p x (K + 1)) and ``abs_T`` (p x p)
-    can serve every call: only G, |T| and the rows' Delta are written.
+
+# Bytes of the (1,1) curve's Delta buffer, which set its row block: b = 65
+# rows at p = 1000, one block up to p = 256.  A p = 1000 split took 21.8,
+# 18.7, 18.6, 18.6 and 19.5 ms at 0.25, 0.5, 1, 2 and 4 MiB (one thread, 2 vCPUs).
+_ONE_ONE_BLOCK_BYTES = 2**20
+
+
+def _one_one_band_curve(p, ks):
+    """The function (fit, target) -> ||B_k(S) - T||_(1,1) for every k in ks,
+    accumulated along diagonals, one block of rows at a time.
+
+    ``fit(J, out)`` gives rows J of the symmetric S, in ``out`` or as a
+    view, and ``target`` those of the symmetric T.  With Delta = |S - T| -
+    |T|, column j's sum at bandwidth k is colsum|T|_j + sum over |d| <= k
+    of Delta[j, j + d], as S and T are symmetric: inside the band |S - T|
+    replaces |T|.  Each row of a block's Delta is stored after K zeros,
+    which makes the entries at distance d left and right of the diagonal
+    two strided views of one buffer (zero where j - d < 0 or j + d >= p).
+    One cumulative sum over d then gives every bandwidth up to K = min(max
+    k, p - 1), bandwidths past p - 1 repeat the value at p - 1, and the
+    curve is the running max over blocks.  A block has as many rows as fit
+    in ``_ONE_ONE_BLOCK_BYTES`` of the buffer, so no p x p array is built;
+    the workspace serves every call: only G, the rows and Delta are written.
     """
-    p = S.shape[0]
     kc = np.minimum(ks, p - 1)
     K = int(kc[-1])
     r = p + K
-    np.abs(T, out=abs_T)
-    delta = buf[: p * r].reshape(p, r)[:, K:]
-    np.subtract(S, T, out=delta)
-    np.abs(delta, out=delta)
-    delta -= abs_T
-    # G[j, d] = colsum|T|_j + Delta[j, j] at d = 0, Delta[j, j - d] + Delta[j, j + d] after
-    np.add(abs_T.sum(axis=0), np.diagonal(delta), out=G[:, 0])
+    b = min(p, max(1, _ONE_ONE_BLOCK_BYTES // (8 * r)))
+    buf, G, rows = np.zeros(b * r + K), np.empty((b, K + 1)), np.empty((2, b, p))
     step = buf.itemsize
-    right = as_strided(buf[K + 1:], (p, K), ((r + 1) * step, step), writeable=False)
-    left = as_strided(buf[K - 1:], (p, K), ((r + 1) * step, -step), writeable=False)
-    np.add(left, right, out=G[:, 1:])
-    np.cumsum(G, axis=1, out=G)
-    return G.max(axis=0)[kc]
+
+    def curve(fit, target):
+        best = np.full(K + 1, -np.inf)
+        for j0 in range(0, p, b):
+            J, bt = slice(j0, j0 + b), min(b, p - j0)
+            S, T = fit(J, rows[0, :bt]), target(J, rows[1, :bt])
+            delta = buf[: bt * r].reshape(bt, r)[:, K:]
+            np.abs(np.subtract(S, T, out=delta), out=delta)
+            delta -= np.abs(T, out=rows[0, :bt])  # S is spent
+            # g[t, d] = rowsum|T|_j + Delta[t, j] at d = 0, Delta[t, j - d] + Delta[t, j + d]
+            # after, for row j = j0 + t
+            g = G[:bt]
+            np.add(rows[0, :bt].sum(axis=1), np.diagonal(delta, j0), out=g[:, 0])
+            right = as_strided(buf[K + j0 + 1:], (bt, K), ((r + 1) * step, step), writeable=False)
+            left = as_strided(buf[K + j0 - 1:], (bt, K), ((r + 1) * step, -step), writeable=False)
+            np.add(left, right, out=g[:, 1:])
+            np.cumsum(g, axis=1, out=g)
+            np.maximum(best, g.max(axis=0), out=best)
+        return best[kc]
+    return curve
 
 
 def _check_k_grid(k_grid, p, kind, n_fit, fit_name) -> np.ndarray:

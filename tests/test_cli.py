@@ -401,6 +401,26 @@ def test_estimated_matrices_do_not_depend_on_the_blas_thread_setting(tmp_path):
     assert estimate(2) == one
 
 
+def test_banded_risk_curve_does_not_depend_on_the_blas_thread_setting(tmp_path):
+    # the banded (1,1) curve takes its Gram products on one BLAS thread; at
+    # p = 400 it walks the coordinates in several row blocks
+    if _openblas_threads() is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    data = tmp_path / "ar1.csv"
+    np.savetxt(data, sample_gaussian(build_covariance(parse_model("ar1:rho=0.5"), 400), 100, 6),
+               delimiter=",", fmt="%.17g")
+
+    def select(threads):
+        out = tmp_path / f"curve{threads}.csv"
+        env = {**package_env(), "OPENBLAS_NUM_THREADS": str(threads)}
+        subprocess.run([sys.executable, "-m", "covband.cli", "select", "--data", str(data),
+                        "--N", "5", "--seed", "3", "--out", str(out)],
+                       env=env, capture_output=True, check=True)
+        return out.read_bytes()
+
+    assert select(1) == select(2)
+
+
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------

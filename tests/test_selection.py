@@ -20,6 +20,7 @@ from covband.selection import (
     RiskCurve,
     SelectionResult,
     _LANCZOS_MIN_P,
+    _gram_rows,
     _one_one_band_curve,
     _split_loss_curve,
     _spectral_norm,
@@ -313,11 +314,32 @@ def test_operator_oracle_k1_matches_eigvalsh_per_bandwidth(kind):
     assert result.k_hat == ks[int(np.argmin(expected))]
 
 
+def _record_blas_threads(get, seen):
+    """Patches that append the BLAS thread count to ``seen`` at every
+    sample covariance and at every Gram block product of a banded (1,1)
+    curve."""
+    from covband import selection
+
+    def covariance(X):
+        seen.append(get())
+        return sample_covariance(X)
+
+    def gram_rows(X):
+        rows = _gram_rows(X)
+
+        def recorded(J, out):
+            seen.append(get())
+            return rows(J, out)
+        return recorded
+
+    return (mock.patch.object(selection, "sample_covariance", covariance),
+            mock.patch.object(selection, "_gram_rows", gram_rows))
+
+
 def test_operator_curves_take_sample_covariances_on_one_blas_thread():
     # a threaded product before each Lanczos run leaves an OpenBLAS thread
-    # spinning beside it, so the whole curve runs capped, and so does the
-    # banded (1,1) curve
-    from covband import selection
+    # spinning beside it, so the whole curve runs capped, and so do the
+    # Gram products of the banded (1,1) curve
     from covband.matcore import _openblas_threads
 
     threads = _openblas_threads()
@@ -325,19 +347,15 @@ def test_operator_curves_take_sample_covariances_on_one_blas_thread():
         pytest.skip("numpy is not linked against OpenBLAS")
     get, set_ = threads
     seen = []
-
-    def recording(X):
-        seen.append(get())
-        return sample_covariance(X)
-
     X = np.random.default_rng(15).standard_normal((12, 6))
     before = get()
     set_(2)
     try:
-        with mock.patch.object(selection, "sample_covariance", recording):
+        covariance, gram_rows = _record_blas_threads(get, seen)
+        with covariance, gram_rows:
             estimate_risk(X, N=2, norm="operator", seed=0)
             oracle_k1(X, np.eye(6), norm="operator")
-            estimate_risk(X, N=1, seed=0)
+            estimate_risk(X, N=1, seed=0)  # one block: one product per part
             assert seen == [1] * 7
         assert get() == 2
     finally:
@@ -345,6 +363,7 @@ def test_operator_curves_take_sample_covariances_on_one_blas_thread():
 
 
 def test_banded_one_one_curve_runs_on_one_blas_thread():
+    # every block product, of both split parts and of the oracle's sample
     from covband import selection
     from covband.matcore import _openblas_threads
 
@@ -353,19 +372,16 @@ def test_banded_one_one_curve_runs_on_one_blas_thread():
         pytest.skip("numpy is not linked against OpenBLAS")
     get, set_ = threads
     seen = []
-
-    def recording(*args):
-        seen.append(get())
-        return _one_one_band_curve(*args)
-
     X = np.random.default_rng(16).standard_normal((12, 6))
     before = get()
     set_(2)
     try:
-        with mock.patch.object(selection, "_one_one_band_curve", recording):
+        _, gram_rows = _record_blas_threads(get, seen)
+        # p = 6, K = 5: blocks of 2 rows, so three products per split part
+        with gram_rows, mock.patch.object(selection, "_ONE_ONE_BLOCK_BYTES", 2 * 8 * 11):
             estimate_risk(X, N=3, seed=0)
             oracle_k1(X, np.eye(6))
-        assert seen == [1] * 4
+        assert seen == [1] * (3 * 2 * 3 + 3)
     finally:
         set_(before)
 
@@ -399,13 +415,18 @@ def symmetric_pair_and_grid(draw):
     return S, T, ks, rng
 
 
+def matrix_rows(M):
+    """The rows of a p x p matrix, in the form ``_one_one_band_curve`` reads."""
+    return lambda J, out: M[J]
+
+
 @given(symmetric_pair_and_grid())
 def test_one_one_band_curve_matches_its_definition(case):
     S, T, ks, rng = case
     ks = np.asarray(ks)
     expected = [matrix_norm(band(S, k) - T, "one_one") for k in ks]
-    curve = _split_loss_curve(S.shape[0], ks, "banded", "one_one")
-    assert_allclose(curve(S, T), expected, rtol=1e-12, atol=0)
+    curve = _one_one_band_curve(S.shape[0], ks)
+    assert_allclose(curve(matrix_rows(S), matrix_rows(T)), expected, rtol=1e-12, atol=0)
     # the same curve through the public oracle, with S a sample covariance
     X = rng.standard_normal((int(rng.integers(2, 50)), S.shape[0]))
     S = sample_covariance(X)
@@ -421,9 +442,73 @@ def test_one_one_band_curve_reuses_its_workspace(p, k_max):
     S1, T1, S2, T2 = (symmetrize(rng.standard_normal((p, p)) * scale)
                       for scale in (1e3, 1e-3, 1.0, 2.0))
     ks = np.arange(k_max + 1)
-    curve = _split_loss_curve(p, ks, "banded", "one_one")
+    curve = _one_one_band_curve(p, ks)
     for S, T in ((S1, T1), (S2, T2)):
-        assert_array_equal(curve(S, T), _split_loss_curve(p, ks, "banded", "one_one")(S, T))
+        assert_array_equal(curve(matrix_rows(S), matrix_rows(T)),
+                           _one_one_band_curve(p, ks)(matrix_rows(S), matrix_rows(T)))
+
+
+def test_gram_rows_of_all_rows_are_the_sample_covariance():
+    # one block is one syrk on the centred data, so a curve of one block
+    # starts from the bytes of sample_covariance
+    X = np.random.default_rng(20).standard_normal((33, 50))
+    assert_array_equal(_gram_rows(X)(slice(0, 50), np.empty((50, 50))), sample_covariance(X))
+
+
+BLOCK = 4
+
+
+@pytest.mark.parametrize("p", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("grid", ["full", "sparse", "past_p"])
+@pytest.mark.parametrize("truth", [False, True])
+def test_one_one_band_curve_across_block_boundaries(p, grid, truth):
+    # a budget of BLOCK rows cuts small p into several blocks, the last one
+    # short; the curve is scored on a workspace another pair has left behind
+    from covband import selection
+
+    ks = {"full": np.arange(p), "sparse": np.arange(0, max(p - 2, 1), 2),
+          "past_p": np.array([0, 1, p + 2]) if p > 2 else np.array([0, p + 2])}[grid]
+    K = min(int(ks[-1]), p - 1)
+    assert grid != "sparse" or p < 3 or K < p - 1
+    rng = np.random.default_rng(100 * p + 10 * len(ks) + truth)
+    X1, X2 = rng.standard_normal((7, p)), 3.0 * rng.standard_normal((11, p))
+    S1 = sample_covariance(X1)
+    T = symmetrize(rng.standard_normal((p, p))) if truth else sample_covariance(X2)
+    expected = [matrix_norm(band(S1, int(k)) - T, "one_one") for k in ks]
+    products = []
+
+    def gram_rows(X):
+        i = len(products)
+        products.append(0)
+        rows = _gram_rows(X)
+
+        def counted(J, out):
+            products[i] += 1
+            return rows(J, out)
+        return counted
+
+    with (mock.patch.object(selection, "_ONE_ONE_BLOCK_BYTES", BLOCK * 8 * (p + K)),
+          mock.patch.object(selection, "_gram_rows", gram_rows)):
+        curve = _split_loss_curve(p, ks, "banded", "one_one", truth=truth)
+        curve(1e3 * X2[:, ::-1], 1e-3 * T if truth else X1)
+        products.clear()
+        got = curve(X1, T if truth else X2)
+    assert_allclose(got, expected, rtol=1e-12, atol=0)
+    assert products == [-(-p // BLOCK)] * (1 if truth else 2)
+
+
+def test_banded_one_one_peak_memory_stays_under_one_matrix():
+    # the curve is built from row blocks of the split data, so its peak
+    # stays below one p x p float64 array (8 MB at p = 1000)
+    p = 1000
+    X = sample_gaussian(build_covariance(CovarianceModel("ar1", 0.5), p), 100, 19)
+    tracemalloc.start()
+    try:
+        estimate_risk(X, N=2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p * p * 8
 
 
 def test_banded_one_one_peak_memory_does_not_grow_with_splits():

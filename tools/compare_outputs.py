@@ -46,6 +46,10 @@ COMMANDS = [
                            "--precision-out", "prec.csv"]),
     ("select-banded", ["select", "--data", f"{INPUTS}/ar1_p400.csv", "--N", "20",
                        "--seed", "3", "--out", "curve.csv"]),
+    ("select-banded-p1000", ["select", "--data", f"{INPUTS}/ar1_p1000.csv", "--N", "10",
+                             "--seed", "3", "--out", "curve.csv"]),
+    ("select-banded-kmax40", ["select", "--data", f"{INPUTS}/ar1_p400.csv", "--N", "20",
+                              "--k-max", "40", "--seed", "3", "--out", "curve.csv"]),
     ("select-operator", ["select", "--data", f"{INPUTS}/ar1_p200.csv", "--norm", "operator",
                          "--N", "5", "--k-max", "30", "--seed", "3", "--out", "curve.csv"]),
     ("select-cholesky", ["select", "--data", f"{INPUTS}/walk_p102.csv", "--estimator",
@@ -78,23 +82,29 @@ COMMANDS = [
 ]
 
 
+def write_ar1(directory: str, rng, p: int) -> None:
+    """100 rows of an AR(1) series, rho = 0.5, along p coordinates."""
+    Z = rng.standard_normal((100, p))
+    X = np.empty_like(Z)
+    X[:, 0] = Z[:, 0]
+    for j in range(1, p):
+        X[:, j] = 0.5 * X[:, j - 1] + np.sqrt(0.75) * Z[:, j]
+    np.savetxt(os.path.join(directory, f"ar1_p{p}.csv"), X, delimiter=",", fmt="%.17g")
+
+
 def write_inputs(directory: str) -> None:
     """Data files drawn with plain numpy, the same for both trees."""
     os.makedirs(directory, exist_ok=True)
     rng = np.random.default_rng(2024)
     for p in (102, 200, 400):
-        Z = rng.standard_normal((100, p))
-        X = np.empty_like(Z)
-        X[:, 0] = Z[:, 0]
-        for j in range(1, p):  # AR(1), rho = 0.5, along the coordinates
-            X[:, j] = 0.5 * X[:, j - 1] + np.sqrt(0.75) * Z[:, j]
-        np.savetxt(os.path.join(directory, f"ar1_p{p}.csv"), X, delimiter=",", fmt="%.17g")
+        write_ar1(directory, rng, p)
     walk = np.cumsum(rng.standard_normal((100, 102)), axis=1)
     np.savetxt(os.path.join(directory, "walk_p102.csv"), walk, delimiter=",", fmt="%.17g")
     counts = rng.poisson(16.0, size=(60, 24))
     header = ",".join(f"iv{j}" for j in range(24))
     np.savetxt(os.path.join(directory, "counts.csv"), counts, delimiter=",", fmt="%d",
                header=header, comments="")
+    write_ar1(directory, rng, 1000)  # drawn last, so the earlier inputs keep their values
 
 
 def run_tree(src: str, out_dir: str) -> None:
