@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DataFormatError
 from .estimators import sample_covariance
-from .matcore import matrix_norm, single_blas_thread
+from .matcore import matrix_norm, read_table, single_blas_thread, write_table
 from .selection import (
     RiskCurve,
     check_kind_norm,
@@ -218,20 +218,16 @@ def write_experiment_report(path, report: ExperimentReport) -> None:
     in full float precision, followed by the record table.
     """
     agg = report.aggregates()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# covband simulation report\n")
-        fh.write(f"# spec {report.spec.to_text()}\n")
-        fh.write(f"# k0 {report.k0}\n")
-        fh.write("# k0 is computed from the same replication set as the records\n")
-        for name in AGGREGATE_FIELDS:
-            m, s = agg[name]
-            fh.write(f"# agg {name} mean={m!r} sd={s!r}\n")
-        fh.write(RECORD_HEADER + "\n")
-        for rec in report.records:
-            fh.write(
-                f"{rec.rep},{rec.k_hat},{rec.k1},{float(rec.loss_k_hat)!r},"
-                f"{float(rec.loss_k0)!r},{float(rec.loss_k1)!r},{float(rec.loss_sample)!r}\n"
-            )
+    comments = [
+        "covband simulation report",
+        f"spec {report.spec.to_text()}",
+        f"k0 {report.k0}",
+        "k0 is computed from the same replication set as the records",
+        *(f"agg {name} mean={agg[name][0]!r} sd={agg[name][1]!r}" for name in AGGREGATE_FIELDS),
+    ]
+    rows = ((r.rep, r.k_hat, r.k1, float(r.loss_k_hat), float(r.loss_k0), float(r.loss_k1),
+             float(r.loss_sample)) for r in report.records)
+    write_table(path, RECORD_HEADER, rows, comments)
 
 
 def read_experiment_report(path):
@@ -244,47 +240,28 @@ def read_experiment_report(path):
     k0 = None
     aggregates: dict[str, tuple[float, float]] = {}
     records: list[ReplicationRecord] = []
-    saw_header = False
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                if not line.startswith("#") and not saw_header:
-                    if line != RECORD_HEADER:
-                        raise DataFormatError(
-                            f"{path}:{lineno}: unexpected record header {line!r}"
-                        )
-                    saw_header = True
-                    continue
-                try:
-                    if line.startswith("#"):
-                        body = line[1:].strip()
-                        if body.startswith("spec "):
-                            spec_text = body[5:]
-                        elif body.startswith("agg "):
-                            name, mean_part, sd_part = body[4:].split()
-                            aggregates[name] = (
-                                float(mean_part.split("=", 1)[1]),
-                                float(sd_part.split("=", 1)[1]),
-                            )
-                        elif body.startswith("k0 ") and k0 is None:
-                            k0 = int(body[3:])
-                        continue
-                    f = line.split(",")
-                    if len(f) != 7:
-                        raise ValueError(f"expected 7 fields, got {len(f)}")
-                    records.append(
-                        ReplicationRecord(int(f[0]), int(f[1]), int(f[2]), *map(float, f[3:]))
+    for lineno, line, comment in read_table(path, RECORD_HEADER):
+        try:
+            if comment:
+                body = line[1:].strip()
+                if body.startswith("spec "):
+                    spec_text = body[5:]
+                elif body.startswith("agg "):
+                    name, mean_part, sd_part = body[4:].split()
+                    aggregates[name] = (
+                        float(mean_part.split("=", 1)[1]),
+                        float(sd_part.split("=", 1)[1]),
                     )
-                except (ValueError, IndexError) as exc:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: malformed line {line!r} ({exc})"
-                    ) from None
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from None
-    if spec_text is None or k0 is None or not saw_header:
+                elif body.startswith("k0 ") and k0 is None:
+                    k0 = int(body[3:])
+                continue
+            f = line.split(",")
+            if len(f) != 7:
+                raise ValueError(f"expected 7 fields, got {len(f)}")
+            records.append(ReplicationRecord(int(f[0]), int(f[1]), int(f[2]), *map(float, f[3:])))
+        except (ValueError, IndexError) as exc:
+            raise DataFormatError(f"{path}:{lineno}: malformed line {line!r} ({exc})") from None
+    if spec_text is None or k0 is None:
         raise DataFormatError(f"{path}: not a covband simulation report")
     return spec_text, k0, aggregates, records
 
@@ -295,13 +272,9 @@ def write_ratio_table(path, reports: list[ExperimentReport]) -> None:
     One row per report: oracle k0 / p and mean selected k_hat / p, the
     quantities the dimension-scaling figures plot.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("model,parameter,p,n,k0,k0_over_p,k_hat_mean,k_hat_mean_over_p\n")
-        for rep in reports:
-            k_hat_mean = rep.aggregates()["k_hat"][0]
-            m = rep.spec.model
-            fh.write(
-                f"{m.kind},{m.parameter!r},{rep.spec.p},{rep.spec.n},"
-                f"{rep.k0},{rep.k0 / rep.spec.p!r},"
-                f"{k_hat_mean!r},{k_hat_mean / rep.spec.p!r}\n"
-            )
+    rows = []
+    for rep in reports:
+        k_hat_mean, m, p = rep.aggregates()["k_hat"][0], rep.spec.model, rep.spec.p
+        rows.append((m.kind, m.parameter, p, rep.spec.n, rep.k0, rep.k0 / p,
+                     k_hat_mean, k_hat_mean / p))
+    write_table(path, "model,parameter,p,n,k0,k0_over_p,k_hat_mean,k_hat_mean_over_p", rows)

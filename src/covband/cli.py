@@ -190,45 +190,52 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    specs = [  # every spec is checked before a file is written
+        ExperimentSpec(
+            model=model,
+            n=args.n,
+            p=p,
+            reps=args.reps,
+            N=args.N,
+            n1=args.n1,
+            estimator_kind=args.estimator,
+            norm=args.norm,
+            seed=args.seed,
+        )
+        for model in map(parse_model, args.model) for p in args.p
+    ]
     os.makedirs(args.out_dir, exist_ok=True)
     reports = []
-    for model_text in args.model:
-        model = parse_model(model_text)
-        for p in args.p:
-            spec = ExperimentSpec(
-                model=model,
-                n=args.n,
-                p=p,
-                reps=args.reps,
-                N=args.N,
-                n1=args.n1,
-                estimator_kind=args.estimator,
-                norm=args.norm,
-                seed=args.seed,
-            )
-            report = run_simulation_experiment(spec)
-            reports.append(report)
-            slug = spec.slug()
-            write_experiment_report(os.path.join(args.out_dir, f"report_{slug}.csv"), report)
-            single = report.est_risk_single
-            true_curve = dataclasses.replace(
-                single, risk=report.true_risk, N=None, n1=None, n2=None, seed=None
-            )
-            for name, curve, k_hat in (("true_risk", true_curve, report.k0),
-                                       ("est_risk", single, select_k(single).k_hat)):
-                write_risk_curve(os.path.join(args.out_dir, f"{name}_{slug}.csv"), curve, k_hat)
-            agg = report.aggregates()
-            print(
-                f"{slug}: k0={report.k0} k_hat_mean={agg['k_hat'][0]:.2f} "
-                f"loss_k_hat_mean={agg['loss_k_hat'][0]:.3f} "
-                f"loss_sample_mean={agg['loss_sample'][0]:.3f}"
-            )
+    for spec in specs:
+        report = run_simulation_experiment(spec)
+        reports.append(report)
+        slug = spec.slug()
+        write_experiment_report(os.path.join(args.out_dir, f"report_{slug}.csv"), report)
+        single = report.est_risk_single
+        true_curve = dataclasses.replace(
+            single, risk=report.true_risk, N=None, n1=None, n2=None, seed=None
+        )
+        for name, curve, k_hat in (("true_risk", true_curve, report.k0),
+                                   ("est_risk", single, select_k(single).k_hat)):
+            write_risk_curve(os.path.join(args.out_dir, f"{name}_{slug}.csv"), curve, k_hat)
+        agg = report.aggregates()
+        print(
+            f"{slug}: k0={report.k0} k_hat_mean={agg['k_hat'][0]:.2f} "
+            f"loss_k_hat_mean={agg['loss_k_hat'][0]:.3f} "
+            f"loss_sample_mean={agg['loss_sample'][0]:.3f}"
+        )
     write_ratio_table(os.path.join(args.out_dir, "ratio_table.csv"), reports)
     print(f"wrote {len(reports)} reports and ratio_table.csv to {args.out_dir}")
     return 0
 
 
 def _cmd_predict(args) -> int:
+    baseline_out = args.baseline_out
+    if baseline_out is None:
+        stem, ext = os.path.splitext(args.out)
+        baseline_out = f"{stem}_baseline{ext or '.csv'}"
+    elif os.path.realpath(baseline_out) == os.path.realpath(args.out):
+        raise ValueError(f"--baseline-out and --out name the same file {args.out}")
     if args.k == "auto":
         k = "auto"
     else:
@@ -249,10 +256,6 @@ def _cmd_predict(args) -> int:
         norm=args.norm,
         seed=args.seed,
     )
-    baseline_out = args.baseline_out
-    if baseline_out is None:
-        stem, ext = os.path.splitext(args.out)
-        baseline_out = f"{stem}_baseline{ext or '.csv'}"
     write_forecast_report(args.out, outcome.errors, start_index=args.split + 1)
     write_forecast_report(baseline_out, outcome.baseline_errors, start_index=args.split + 1)
     k_note = "" if outcome.selected_k is None else f" (k={outcome.selected_k})"

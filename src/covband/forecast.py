@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DataFormatError, NotPositiveDefinite, SingularBlock
 from .estimators import as_data_matrix, fit_covariance
-from .matcore import TaperSpec, cholesky_factor, require_symmetric, single_blas_thread
+from .matcore import TaperSpec, cholesky_factor, require_symmetric, single_blas_thread, write_table
 from .selection import ESTIMATOR_KINDS, estimate_risk, select_k
 
 TRANSFORMS = ("sqrt_quarter", "none")
@@ -154,11 +154,7 @@ def write_forecast_report(path, errors, start_index: int = 1) -> None:
     ``start_index`` sets the coordinate label of the first error (e.g.
     split + 1 when reporting on the predicted half of a vector).
     """
-    E = np.asarray(errors, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("j,E_j\n")
-        for i, e in enumerate(E):
-            fh.write(f"{start_index + i},{float(e)!r}\n")
+    write_table(path, "j,E_j", enumerate(np.asarray(errors, dtype=float), start=start_index))
 
 
 def _solve_block(S11, B) -> np.ndarray:

@@ -3,7 +3,9 @@
 Everything downstream (estimators, bandwidth selection, simulation,
 spectral diagnostics, forecasting) is built on the operations in this
 module: banding, Schur products, taper weight matrices, matrix norms,
-symmetric eigendecomposition and Cholesky factorization.
+symmetric eigendecomposition and Cholesky factorization.  File I/O lives
+here too: data and matrix CSVs, and the one table format of every report
+(:func:`write_table` / :func:`read_table`).
 
 Matrices are plain ``numpy.ndarray`` objects.  A "symmetric matrix" here
 means a square 2-D float array with ``M[i, j] == M[j, i]`` exactly.  The
@@ -322,6 +324,43 @@ def save_matrix_csv(path, M) -> None:
     """Write a symmetric matrix as CSV (p rows of p fields, no header)."""
     A = require_symmetric(M)
     np.savetxt(path, A, delimiter=",", fmt="%.17g")
+
+
+def write_table(path, header, rows, comments=(), trailer=()) -> None:
+    """Write ``# `` comment lines, the header, one comma-joined line per row
+    and ``# `` trailer lines as UTF-8.  Each float, numpy floats included,
+    is written as ``repr(float(v))``, which reads back bit-exactly; every
+    other value as ``str(v)``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"# {c}\n" for c in comments)
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                              for v in row) + "\n")
+        fh.writelines(f"# {c}\n" for c in trailer)
+
+
+def read_table(path, header) -> list[tuple[int, str, bool]]:
+    """(line number, stripped text, is_comment) of every nonblank line of a
+    UTF-8 table CSV but its header, the first line that is not a ``#``
+    comment.  A leading byte-order mark is skipped; text that is not UTF-8,
+    or a missing header, raises :class:`DataFormatError` naming the file."""
+    lines, seen_header = [], False
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if text and (seen_header or text.startswith("#")):
+                    lines.append((lineno, text, text.startswith("#")))
+                elif text and text != header:
+                    raise DataFormatError(f"{path}:{lineno}: expected {header!r}, got {text!r}")
+                elif text:
+                    seen_header = True
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from None
+    if not seen_header:
+        raise DataFormatError(f"{path}: no header {header!r}")
+    return lines
 
 
 def _distance_grid(p: int) -> np.ndarray:

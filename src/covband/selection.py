@@ -25,12 +25,15 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import BandwidthTooLarge, DataFormatError, InsufficientData
-from .estimators import (
-    as_data_matrix,
-    cholesky_covariance_path,
-    sample_covariance,
+from .estimators import as_data_matrix, cholesky_covariance_path
+from .matcore import (
+    band_path,
+    matrix_norm,
+    read_table,
+    require_symmetric,
+    single_blas_thread,
+    write_table,
 )
-from .matcore import band_path, matrix_norm, require_symmetric, single_blas_thread
 from .simgen import CovarianceModel, build_covariance, sample_gaussian, substream
 
 ESTIMATOR_KINDS = ("banded", "cholesky")
@@ -149,15 +152,15 @@ def estimate_risk(
 
     total = np.zeros(ks.size)
     split_loss_curve = _split_loss_curve(p, ks, estimator_kind, norm)
-    # Every curve runs on one BLAS thread, each product of the split data
-    # included (sample covariances, the (1,1) curve's per-block Gram rows):
+    # Every curve runs on one BLAS thread, each Gram product of the split
+    # data included (all rows at once, or the (1,1) curve's row blocks):
     # a second thread does not speed up those products, and after each
     # threaded one an idle OpenBLAS thread spins for about 0.1 s, which
     # doubled the CPU time of the banded (1,1) and operator-norm curves.
     with single_blas_thread():
         for nu in range(N):
             perm = substream(seed, nu).permutation(n)
-            total += split_loss_curve(X[perm[:n1]], X[perm[n1:]])
+            total += split_loss_curve(_gram_rows(X[perm[:n1]]), _gram_rows(X[perm[n1:]]))
     return RiskCurve(
         k_grid=ks,
         risk=total / N,
@@ -191,7 +194,8 @@ def oracle_k1(X, truth, k_grid=None, estimator_kind: str = "banded",
     check_kind_norm(estimator_kind, norm)
     ks = _check_k_grid(k_grid, p, estimator_kind, n, "n")
     with single_blas_thread():  # see estimate_risk
-        losses = _split_loss_curve(p, ks, estimator_kind, norm, truth=True)(X, truth)
+        losses = _split_loss_curve(p, ks, estimator_kind, norm)(
+            _gram_rows(X), lambda J, out: truth[J])
     curve = RiskCurve(
         k_grid=ks, risk=losses, estimator_kind=estimator_kind,
         N=None, n1=None, n2=None, norm=norm, seed=None,
@@ -248,12 +252,8 @@ def theoretical_bandwidth(n: int, p: int, alpha: float) -> int:
 def write_risk_curve(path, curve: RiskCurve, k_hat: int | None = None) -> None:
     """Write a curve as CSV with header ``k,risk``; append ``# k_hat=...``
     as a trailing comment when a selection is supplied."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,risk\n")
-        for k, r in zip(curve.k_grid, curve.risk):
-            fh.write(f"{int(k)},{float(r)!r}\n")
-        if k_hat is not None:
-            fh.write(f"# k_hat={int(k_hat)}\n")
+    trailer = () if k_hat is None else (f"k_hat={int(k_hat)}",)
+    write_table(path, "k,risk", zip(curve.k_grid, curve.risk), trailer=trailer)
 
 
 def read_risk_curve(path) -> tuple[np.ndarray, np.ndarray, int | None]:
@@ -262,24 +262,16 @@ def read_risk_curve(path) -> tuple[np.ndarray, np.ndarray, int | None]:
     A malformed line raises :class:`DataFormatError` naming the file and line.
     """
     ks, rs, k_hat = [], [], None
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            header = fh.readline().strip()
-            if header != "k,risk":
-                raise DataFormatError(f"{path}: expected header 'k,risk', got {header!r}")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                try:
-                    if line.startswith("#") and "k_hat=" in line:
-                        k_hat = int(line.split("k_hat=")[1])
-                    elif line and not line.startswith("#"):
-                        k, r = line.split(",")
-                        ks.append(int(k))
-                        rs.append(float(r))
-                except ValueError:
-                    raise DataFormatError(f"{path}:{lineno}: malformed line {line!r}") from None
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from None
+    for lineno, line, comment in read_table(path, "k,risk"):
+        try:
+            if comment and "k_hat=" in line:
+                k_hat = int(line.split("k_hat=")[1])
+            elif not comment:
+                k, r = line.split(",")
+                ks.append(int(k))
+                rs.append(float(r))
+        except ValueError:
+            raise DataFormatError(f"{path}:{lineno}: malformed line {line!r}") from None
     return np.asarray(ks, dtype=int), np.asarray(rs, dtype=float), k_hat
 
 
@@ -288,35 +280,33 @@ def read_risk_curve(path) -> tuple[np.ndarray, np.ndarray, int | None]:
 # ---------------------------------------------------------------------------
 
 
-def _split_loss_curve(p, ks, estimator_kind, norm, truth=False):
-    """The function (X_fit, target) -> ||estimate_k - target|| for every k
-    in ks, the estimator fit on the (n, p) data ``X_fit``.
+def _split_loss_curve(p, ks, estimator_kind, norm):
+    """The function (fit, target) -> ||estimate_k - T|| for every k in ks,
+    the estimator fit on the symmetric p x p matrix S.
 
-    ``target`` is data, scored through its sample covariance, or with
-    ``truth`` set a symmetric p x p truth that ``oracle_k1`` has checked.
-    Banded (1,1) curves take the row-blocked diagonal path straight from
-    the data; every other case takes the sample covariances and one norm
-    per bandwidth, on ``band_path`` or ``cholesky_covariance_path``
-    estimates.  The operator norm is :func:`_spectral_norm` (Lanczos from a
-    fixed start, falling back to ``eigvalsh``).  Callers run it on one BLAS
-    thread, every sample covariance and per-block Gram product included.
+    ``fit`` and ``target`` are row sources, ``(J, out) -> rows J`` of S and
+    of T: ``_gram_rows`` of a split part, or rows of the truth that
+    ``oracle_k1`` has checked.  Banded (1,1) curves take the row-blocked
+    diagonal path; every other case takes all rows of both and one norm per
+    bandwidth, on ``band_path`` or ``cholesky_covariance_path`` estimates.
+    The operator norm is :func:`_spectral_norm` (Lanczos from a fixed start,
+    falling back to ``eigvalsh``).  Callers run it on one BLAS thread, every
+    Gram product included.
     """
     if estimator_kind == "banded" and norm == "one_one":
-        blocked = _one_one_band_curve(p, ks)
-        target_rows = (lambda T: lambda J, out: T[J]) if truth else _gram_rows
-        return lambda X_fit, target: blocked(_gram_rows(X_fit), target_rows(target))
+        return _one_one_band_curve(p, ks)
     path = band_path if estimator_kind == "banded" else cholesky_covariance_path
 
-    def curve(X_fit, target):
-        S_fit, target = sample_covariance(X_fit), target if truth else sample_covariance(target)
+    def curve(fit, target):  # all rows, each into one new array (out=None would make two)
+        T = target(slice(None), np.empty((p, p)))
 
         def loss(E):  # E is a fresh array, so it can hold its own difference
-            np.subtract(E, target, out=E)
+            np.subtract(E, T, out=E)
             if norm == "operator":
                 return _spectral_norm(E)
             return float(np.max(np.sum(np.abs(E, out=E), axis=0)))
         # map holds no estimate past its loss, so each is freed before the next is built
-        return np.fromiter(map(loss, path(S_fit, ks)), float, ks.size)
+        return np.fromiter(map(loss, path(fit(slice(None), np.empty((p, p))), ks)), float, ks.size)
     return curve
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpectralDegeneracy, ZeroTrace
-from .matcore import require_symmetric, sym_eigen
+from .matcore import require_symmetric, sym_eigen, write_table
 
 # True consecutive gaps below this are treated as degenerate: projector
 # pairing is meaningless below eigensolver resolution.
@@ -110,10 +110,6 @@ def write_comparison_csv(path, cmp: EigenComparison) -> None:
 
     Header ``j,lambda_true,lambda_est,abs_err,proj_err``; j is 1-based.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("j,lambda_true,lambda_est,abs_err,proj_err\n")
-        for j in range(cmp.m):
-            fh.write(
-                f"{j + 1},{float(cmp.lambda_true[j])!r},{float(cmp.lambda_est[j])!r},"
-                f"{float(cmp.eigenvalue_errors[j])!r},{float(cmp.projection_errors[j])!r}\n"
-            )
+    columns = (cmp.lambda_true, cmp.lambda_est, cmp.eigenvalue_errors, cmp.projection_errors)
+    rows = ((j + 1, *(float(c[j]) for c in columns)) for j in range(cmp.m))
+    write_table(path, "j,lambda_true,lambda_est,abs_err,proj_err", rows)

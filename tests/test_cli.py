@@ -306,6 +306,17 @@ def test_bench_writes_reports_and_curves(tmp_path):
     assert risks[list(ks).index(k0)] == risks.min()
 
 
+@pytest.mark.parametrize("bad", [("--model", "ar1:rho=2"), ("--n", "3")],
+                         ids=["second_model", "n"])
+def test_bench_usage_errors_write_no_file(tmp_path, capsys, bad):
+    # every configuration is checked before the output directory is made
+    out_dir = tmp_path / "bench"
+    assert run("bench", "--model", "ar1:rho=0.5", "--p", "6", "--n", "24", "--reps", "1",
+               "--N", "2", "--seed", "3", *bad, "--out-dir", str(out_dir)) == 1
+    assert "covband:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bench_is_byte_deterministic(tmp_path):
     args = ["bench", "--model", "ar1:rho=0.5", "--p", "6", "--n", "24",
             "--reps", "2", "--N", "3", "--seed", "7"]
@@ -492,3 +503,15 @@ def test_predict_explicit_baseline_path(tmp_path, counts_file):
                "--split", "5", "--estimator", "banded", "--k", "1",
                "--out", str(out), "--baseline-out", str(base)) == 0
     assert base.exists()
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+def test_predict_rejects_a_baseline_path_equal_to_out(tmp_path, counts_file, capsys, spelling):
+    out = tmp_path / "fc.csv"
+    base = out if spelling == "same" else tmp_path / "sub" / ".." / "fc.csv"
+    (tmp_path / "sub").mkdir()
+    assert run("predict", "--counts", str(counts_file), "--n-train", "45",
+               "--split", "5", "--estimator", "banded", "--k", "1",
+               "--out", str(out), "--baseline-out", str(base)) == 1
+    assert "--baseline-out" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.csv", "sub"]

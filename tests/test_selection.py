@@ -315,14 +315,10 @@ def test_operator_oracle_k1_matches_eigvalsh_per_bandwidth(kind):
 
 
 def _record_blas_threads(get, seen):
-    """Patches that append the BLAS thread count to ``seen`` at every
-    sample covariance and at every Gram block product of a banded (1,1)
-    curve."""
+    """A patch that appends the BLAS thread count to ``seen`` at every Gram
+    product of a split part or a sample: all rows at once, or one block of
+    a banded (1,1) curve."""
     from covband import selection
-
-    def covariance(X):
-        seen.append(get())
-        return sample_covariance(X)
 
     def gram_rows(X):
         rows = _gram_rows(X)
@@ -332,14 +328,13 @@ def _record_blas_threads(get, seen):
             return rows(J, out)
         return recorded
 
-    return (mock.patch.object(selection, "sample_covariance", covariance),
-            mock.patch.object(selection, "_gram_rows", gram_rows))
+    return mock.patch.object(selection, "_gram_rows", gram_rows)
 
 
 def test_operator_curves_take_sample_covariances_on_one_blas_thread():
     # a threaded product before each Lanczos run leaves an OpenBLAS thread
-    # spinning beside it, so the whole curve runs capped, and so do the
-    # Gram products of the banded (1,1) curve
+    # spinning beside it, so the whole curve runs capped, its Gram product
+    # of all rows included, and so do the block products of the (1,1) curve
     from covband.matcore import _openblas_threads
 
     threads = _openblas_threads()
@@ -351,8 +346,7 @@ def test_operator_curves_take_sample_covariances_on_one_blas_thread():
     before = get()
     set_(2)
     try:
-        covariance, gram_rows = _record_blas_threads(get, seen)
-        with covariance, gram_rows:
+        with _record_blas_threads(get, seen):
             estimate_risk(X, N=2, norm="operator", seed=0)
             oracle_k1(X, np.eye(6), norm="operator")
             estimate_risk(X, N=1, seed=0)  # one block: one product per part
@@ -376,9 +370,9 @@ def test_banded_one_one_curve_runs_on_one_blas_thread():
     before = get()
     set_(2)
     try:
-        _, gram_rows = _record_blas_threads(get, seen)
         # p = 6, K = 5: blocks of 2 rows, so three products per split part
-        with gram_rows, mock.patch.object(selection, "_ONE_ONE_BLOCK_BYTES", 2 * 8 * 11):
+        with (_record_blas_threads(get, seen),
+              mock.patch.object(selection, "_ONE_ONE_BLOCK_BYTES", 2 * 8 * 11)):
             estimate_risk(X, N=3, seed=0)
             oracle_k1(X, np.eye(6))
         assert seen == [1] * (3 * 2 * 3 + 3)
@@ -487,12 +481,11 @@ def test_one_one_band_curve_across_block_boundaries(p, grid, truth):
             return rows(J, out)
         return counted
 
-    with (mock.patch.object(selection, "_ONE_ONE_BLOCK_BYTES", BLOCK * 8 * (p + K)),
-          mock.patch.object(selection, "_gram_rows", gram_rows)):
-        curve = _split_loss_curve(p, ks, "banded", "one_one", truth=truth)
-        curve(1e3 * X2[:, ::-1], 1e-3 * T if truth else X1)
+    with mock.patch.object(selection, "_ONE_ONE_BLOCK_BYTES", BLOCK * 8 * (p + K)):
+        curve = _split_loss_curve(p, ks, "banded", "one_one")
+        curve(gram_rows(1e3 * X2[:, ::-1]), matrix_rows(1e-3 * T) if truth else gram_rows(X1))
         products.clear()
-        got = curve(X1, T if truth else X2)
+        got = curve(gram_rows(X1), matrix_rows(T) if truth else gram_rows(X2))
     assert_allclose(got, expected, rtol=1e-12, atol=0)
     assert products == [-(-p // BLOCK)] * (1 if truth else 2)
 

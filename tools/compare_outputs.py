@@ -79,6 +79,13 @@ COMMANDS = [
     ("negative-seed-predict-k3", ["predict", "--counts", f"{INPUTS}/counts.csv",
                                   "--n-train", "45", "--split", "12", "--estimator", "banded",
                                   "--k", "3", "--seed", "-1", "--out", "fc.csv"]),
+    # usage errors that must be reported before any file is written
+    ("bench-invalid-second-model", ["bench", "--model", "ar1:rho=0.5", "--model", "ar1:rho=2",
+                                    "--p", "10", "--n", "30", "--reps", "1", "--N", "2",
+                                    "--seed", "7", "--out-dir", "bench"]),
+    ("predict-baseline-equals-out", ["predict", "--counts", f"{INPUTS}/counts.csv",
+                                     "--n-train", "45", "--split", "12", "--estimator", "banded",
+                                     "--k", "3", "--out", "fc.csv", "--baseline-out", "fc.csv"]),
 ]
 
 
