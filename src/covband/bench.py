@@ -78,6 +78,9 @@ class ExperimentSpec:
             raise ValueError("reps must be >= 1")
         if self.N < 1:
             raise ValueError("N must be >= 1")
+        n1 = self.n // 3 if self.n1 is None else self.n1
+        if n1 < 2 or self.n - n1 < 2:
+            raise ValueError(f"both split groups need >= 2 rows, got n1={n1}, n2={self.n - n1}")
         check_kind_norm(self.estimator_kind, self.norm)
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")

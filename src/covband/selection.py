@@ -4,10 +4,14 @@ The data-driven bandwidth is picked by splitting the sample N times at
 random into groups of size n1 and n2, fitting the regularized estimator on
 group 1, measuring its distance to the plain sample covariance of group 2,
 averaging over splits, and minimizing over the bandwidth grid
-(:func:`estimate_risk` / :func:`select_k`).  In the operator norm each
-bandwidth's loss comes from Lanczos iteration on the difference matrix,
-from a fixed start vector, with ``numpy.linalg.eigvalsh`` as the fallback
-for small matrices and for an iteration that does not converge.
+(:func:`estimate_risk` / :func:`select_k`).  In the operator norm the
+bandwidths of a split advance together through one Lanczos iteration, in
+groups sized by a fixed byte budget, each from the same fixed start vector;
+narrow bands never form a p x p matrix (S1 is held in band storage, S2
+applied as a low-rank product), wider ones share one dense difference per
+group, and the Cholesky estimates take their own.
+``numpy.linalg.eigvalsh`` is the answer for small matrices and for an
+iteration that does not converge.
 
 Two oracle quantities calibrate that choice: :func:`oracle_k1` minimizes
 the realized loss of one sample against the true covariance, and
@@ -37,6 +41,7 @@ from .matcore import (
 from .simgen import CovarianceModel, build_covariance, sample_gaussian, substream
 
 ESTIMATOR_KINDS = ("banded", "cholesky")
+_INT64_MAX = np.iinfo(np.int64).max
 SELECTION_NORMS = ("one_one", "operator")
 
 
@@ -153,14 +158,15 @@ def estimate_risk(
     total = np.zeros(ks.size)
     split_loss_curve = _split_loss_curve(p, ks, estimator_kind, norm)
     # Every curve runs on one BLAS thread, each Gram product of the split
-    # data included (all rows at once, or the (1,1) curve's row blocks):
+    # data included (all rows at once, row blocks, or the low-rank products
+    # of the operator-norm curve):
     # a second thread does not speed up those products, and after each
     # threaded one an idle OpenBLAS thread spins for about 0.1 s, which
     # doubled the CPU time of the banded (1,1) and operator-norm curves.
     with single_blas_thread():
         for nu in range(N):
             perm = substream(seed, nu).permutation(n)
-            total += split_loss_curve(_gram_rows(X[perm[:n1]]), _gram_rows(X[perm[n1:]]))
+            total += split_loss_curve(_Gram(X[perm[:n1]]), _Gram(X[perm[n1:]]))
     return RiskCurve(
         k_grid=ks,
         risk=total / N,
@@ -194,8 +200,7 @@ def oracle_k1(X, truth, k_grid=None, estimator_kind: str = "banded",
     check_kind_norm(estimator_kind, norm)
     ks = _check_k_grid(k_grid, p, estimator_kind, n, "n")
     with single_blas_thread():  # see estimate_risk
-        losses = _split_loss_curve(p, ks, estimator_kind, norm)(
-            _gram_rows(X), lambda J, out: truth[J])
+        losses = _split_loss_curve(p, ks, estimator_kind, norm)(_Gram(X), _Dense(truth))
     curve = RiskCurve(
         k_grid=ks, risk=losses, estimator_kind=estimator_kind,
         N=None, n1=None, n2=None, norm=norm, seed=None,
@@ -259,7 +264,9 @@ def write_risk_curve(path, curve: RiskCurve, k_hat: int | None = None) -> None:
 def read_risk_curve(path) -> tuple[np.ndarray, np.ndarray, int | None]:
     """Parse a risk-curve CSV back into (k_grid, risk, k_hat or None).
 
-    A malformed line raises :class:`DataFormatError` naming the file and line.
+    A malformed line, or a row that :class:`RiskCurve` would refuse (a k
+    that does not ascend or does not fit int64, a risk that is not finite
+    and >= 0), raises :class:`DataFormatError` naming the file and line.
     """
     ks, rs, k_hat = [], [], None
     for lineno, line, comment in read_table(path, "k,risk"):
@@ -268,8 +275,12 @@ def read_risk_curve(path) -> tuple[np.ndarray, np.ndarray, int | None]:
                 k_hat = int(line.split("k_hat=")[1])
             elif not comment:
                 k, r = line.split(",")
-                ks.append(int(k))
-                rs.append(float(r))
+                k, r = int(k), float(r)
+                if not (ks[-1] if ks else -1) < k <= _INT64_MAX or not 0.0 <= r < np.inf:
+                    raise DataFormatError(f"{path}:{lineno}: {line!r} needs a 64-bit k above "
+                                          "the previous k (or >= 0) and a finite risk >= 0")
+                ks.append(k)
+                rs.append(r)
         except ValueError:
             raise DataFormatError(f"{path}:{lineno}: malformed line {line!r}") from None
     return np.asarray(ks, dtype=int), np.asarray(rs, dtype=float), k_hat
@@ -284,110 +295,341 @@ def _split_loss_curve(p, ks, estimator_kind, norm):
     """The function (fit, target) -> ||estimate_k - T|| for every k in ks,
     the estimator fit on the symmetric p x p matrix S.
 
-    ``fit`` and ``target`` are row sources, ``(J, out) -> rows J`` of S and
-    of T: ``_gram_rows`` of a split part, or rows of the truth that
-    ``oracle_k1`` has checked.  Banded (1,1) curves take the row-blocked
-    diagonal path; every other case takes all rows of both and one norm per
-    bandwidth, on ``band_path`` or ``cholesky_covariance_path`` estimates.
-    The operator norm is :func:`_spectral_norm` (Lanczos from a fixed start,
-    falling back to ``eigvalsh``).  Callers run it on one BLAS thread, every
-    Gram product included.
+    ``fit`` and ``target`` are sources of S and T: :class:`_Gram` of a split
+    part, or :class:`_Dense` of the truth that ``oracle_k1`` has checked.
+    Banded (1,1) curves take both in row blocks along diagonals.  Banded
+    operator-norm curves with p >= ``_LANCZOS_MIN_P`` take the bandwidths
+    with 2k + 1 <= p / ``_BAND_STORAGE_SHARE`` matrix free
+    (:func:`_operator_band_curve`, T as a product) and the wider ones from
+    one dense difference per group (:func:`_wide_band_curve`).  Every other
+    curve takes all rows of both and one estimate per bandwidth from
+    ``band_path`` or ``cholesky_covariance_path`` (:func:`_dense_curve`).
+    Callers run it on one BLAS thread, every Gram product included.
     """
     if estimator_kind == "banded" and norm == "one_one":
         return _one_one_band_curve(p, ks)
     path = band_path if estimator_kind == "banded" else cholesky_covariance_path
+    if estimator_kind == "banded" and p >= _LANCZOS_MIN_P:
+        narrow = int(np.searchsorted(ks, (p // _BAND_STORAGE_SHARE - 1) // 2, side="right"))
+        parts = [make(p, part) for make, part in ((_operator_band_curve, ks[:narrow]),
+                                                  (_wide_band_curve, ks[narrow:])) if part.size]
+        return lambda fit, target: np.concatenate([part(fit, target) for part in parts])
+    return _dense_curve(p, ks, path, norm)
+
+
+def _dense_curve(p, ks, path, norm):
+    """The function (fit, target) -> ||E_k - T|| over the estimates E_k of
+    ``path(S, ks)``, from all rows of S and T.  Operator norms run in groups
+    of dense differences, as many as fit ``_LANCZOS_GROUP_BYTES`` with their
+    Lanczos bases."""
+    size = max(1, _LANCZOS_GROUP_BYTES // (8 * p * (min(p, _LANCZOS_MAX_STEPS) + 1 + p)))
 
     def curve(fit, target):  # all rows, each into one new array (out=None would make two)
         T = target(slice(None), np.empty((p, p)))
-
-        def loss(E):  # E is a fresh array, so it can hold its own difference
-            np.subtract(E, T, out=E)
-            if norm == "operator":
-                return _spectral_norm(E)
-            return float(np.max(np.sum(np.abs(E, out=E), axis=0)))
-        # map holds no estimate past its loss, so each is freed before the next is built
-        return np.fromiter(map(loss, path(fit(slice(None), np.empty((p, p))), ks)), float, ks.size)
+        estimates = path(fit(slice(None), np.empty((p, p))), ks)
+        if norm == "one_one":
+            def loss(E):  # E is a fresh array, so it can hold its own difference
+                return float(np.max(np.sum(np.abs(np.subtract(E, T, out=E), out=E), axis=0)))
+            # map holds no estimate past its loss, so each is freed before the next is built
+            return np.fromiter(map(loss, estimates), float, ks.size)
+        losses, group = np.empty(ks.size), np.empty((min(size, ks.size), p, p))
+        for g in range(0, ks.size, size):
+            ops = group[: ks.size - g]
+            for D, E in zip(ops, estimates):  # zip takes no estimate past the group
+                np.subtract(E, T, out=D)
+            losses[g: g + len(ops)] = _lanczos_norms(ops, _dense_products, lambda D: D, p)
+        return losses
     return curve
 
 
-# Lanczos operator norm: eigvalsh below _LANCZOS_MIN_P, where it was as fast
-# (crossover p = 176..208 for AR(1) split differences at k <= 29, 2 vCPUs),
-# and after _LANCZOS_MAX_STEPS steps without convergence (those splits took
-# 48..56 steps at p = 400 and at p = 1000).
-_LANCZOS_MIN_P = 192
+class _Gram:
+    """The sample covariance S = A'A / n of the data X, A centred, never
+    formed whole.  Called as ``(J, out)`` it writes rows J of S into ``out``
+    as A[:, J].T @ A / n (for all rows numpy runs one ``syrk``, the bytes of
+    ``sample_covariance(X)``); ``apply(V)`` is the stack of products S v for
+    the rows v of V, (V A') A / n."""
+
+    def __init__(self, X):
+        self.A = X - X.mean(axis=0)
+
+    def __call__(self, J, out):
+        return np.divide(np.matmul(self.A[:, J].T, self.A, out=out), len(self.A), out=out)
+
+    def apply(self, V):
+        out = (V @ self.A.T) @ self.A
+        return np.divide(out, len(self.A), out=out)
+
+
+class _Dense:
+    """A symmetric p x p array M as a source: rows J as a view, and ``apply(V)`` = V M."""
+
+    def __init__(self, M):
+        self.M = M
+
+    def __call__(self, J, out):
+        return self.M[J]
+
+    def apply(self, V):
+        return V @ self.M
+
+
+def _dense_products(V, D):
+    """Row i is D[i] @ V[i], for a stack D of symmetric matrices."""
+    return np.matmul(D, V[:, :, None])[:, :, 0]
+
+
+# Lanczos operator norm: eigvalsh below _LANCZOS_MIN_P and after
+# _LANCZOS_MAX_STEPS steps without convergence (those splits took 48..56
+# steps at p = 400 and at p = 1000).  The threshold is where the lockstep
+# groups pulled ahead for AR(1) splits, n = 100, one thread, 2 vCPUs: per
+# split at p = 128 / 144, banded k <= 29 took 30 / 32 ms against 36 / 45 ms
+# for eigvalsh, all k 139 / 172 ms against 140 / 217, cholesky k <= 31
+# 36 / 50 ms against 45 / 60 (at p = 112 eigvalsh was faster in all three).
+_LANCZOS_MIN_P = 144
 _LANCZOS_MAX_STEPS = 160
 # each convergence test is a dense eigh of T, so test sparsely
 _LANCZOS_FIRST_TEST = 24
 _LANCZOS_TEST_EVERY = 8
 _RITZ_RTOL = 1e-13
 _BREAKDOWN_RTOL = 1e-13
+# Bytes that one group of operators may hold: each one's Lanczos basis at
+# the step cap plus its band storage or dense difference (a group of wide
+# bands shares one).  5 narrow bands at p = 400, k <= 29 (select-operator-p400
+# then peaks 1.7 MB lower in RSS than the old one dense difference at a time;
+# 8 per group: 0.2 MB lower), 1 at p = 1000, k <= 99, 8 wide bands and 2
+# cholesky estimates at p = 400.
+_LANCZOS_GROUP_BYTES = 4 * 2**20
+# Band storage serves bandwidths with 2k + 1 <= p / _BAND_STORAGE_SHARE;
+# wider bands share a dense difference, whose product is faster there.
+_BAND_STORAGE_SHARE = 2
+# Bytes of the row block that band storage is read in.  Small: with 1 MiB
+# blocks select-operator-p400 peaked 1.2 MB higher in RSS.
+_BAND_READ_BYTES = 2**16
 
 
-def _spectral_norm(A: np.ndarray) -> float:
-    """max |eigenvalue| of the symmetric float array ``A``, by Lanczos.
+def _lanczos_norms(ops, apply, dense, p):
+    """max |eigenvalue| of each symmetric p x p operator of a group, by
+    Lanczos iterations that advance in lockstep.
+
+    ``ops`` is an array whose first axis runs over the operators,
+    ``apply(V, ops)`` a new array whose row i is operator i applied to V[i],
+    and ``dense(op)`` the p x p array of one operator.  Each step is one
+    call of ``apply`` and a few batched numpy calls for the whole group.
+    Its own arithmetic is row by row, so with an ``apply`` that is too (one
+    product per operator, as for dense differences) an operator's value
+    does not depend on its group, bit for bit.
 
     Lanczos with full reorthogonalization (Lanczos 1950; Paige 1972) from
-    one fixed pseudo-random start vector per dimension, so the value is a
-    function of ``A`` alone.  The start is never ``ones``: the Toeplitz
-    truths have skew-symmetric eigenvectors, which are orthogonal to it.
-    Convergence is tested on both extreme Ritz values theta_min and
+    one fixed pseudo-random start vector per dimension, so each value is a
+    function of its operator alone.  The start is never ``ones``: the
+    Toeplitz truths have skew-symmetric eigenvectors, which are orthogonal
+    to it.  Convergence is tested on both extreme Ritz values theta_min and
     theta_max of the tridiagonal T, with top = max |theta|.  Each lies
-    within its residual r = beta_m |s_m| of an eigenvalue of ``A``
-    (Parlett, *The Symmetric Eigenvalue Problem*).  The end that gives
-    top must have r <= ``_RITZ_RTOL`` * top.  The other end only needs
-    r <= top - |theta|, so that its eigenvalue cannot exceed top; a test
-    of the top end alone could stop at lambda_max = 10 when lambda_min is
-    -10.5.  The quadratic bound r**2 / gap is not used: the gap to the
-    neighbouring Ritz value overstates the true gap while a close pair
-    of extreme eigenvalues is still unresolved.  A beta below
-    ``_BREAKDOWN_RTOL`` times the largest |alpha| or beta seen means the
-    Krylov space is invariant, and its Ritz values are exact.  Small
-    matrices and iterations that reach the step cap get the ``eigvalsh``
-    value instead.  Its callers run it on one BLAS thread, which at p=400
-    does these matrix-vector products as fast as two.
+    within its residual r = beta_m |s_m| of an eigenvalue of the operator
+    (Parlett, *The Symmetric Eigenvalue Problem*).  The end that gives top
+    must have r <= ``_RITZ_RTOL`` * top.  The other end only needs r <= top
+    - |theta|, so that its eigenvalue cannot exceed top; a test of the top
+    end alone could stop at lambda_max = 10 when lambda_min is -10.5.  The
+    quadratic bound r**2 / gap is not used: the gap to the neighbouring Ritz
+    value overstates the true gap while a close pair of extreme eigenvalues
+    is still unresolved.  A beta below ``_BREAKDOWN_RTOL`` times the largest
+    |alpha| or beta seen means the Krylov space is invariant, and its Ritz
+    values are exact.  Finished operators leave the group at the tests,
+    where the basis also grows by ``_LANCZOS_TEST_EVERY`` steps.  Small
+    operators and those that reach the step cap get the ``eigvalsh`` value
+    of ``dense(op)`` instead.  Its callers run it on one BLAS thread, which
+    at p=400 does these products as fast as two.
     """
-    p = A.shape[0]
     if p < _LANCZOS_MIN_P:
-        return matrix_norm(A, "operator")
+        return np.array([matrix_norm(dense(op), "operator") for op in ops])
     m_max = min(p, _LANCZOS_MAX_STEPS)
-    Q = np.empty((m_max + 1, p))
-    Q[0] = np.random.default_rng(p).standard_normal(p)
-    Q[0] /= np.sqrt(Q[0] @ Q[0])
-    alpha = np.empty(m_max)
-    beta = np.empty(m_max)
-    scale = 0.0  # largest |alpha| or beta so far, a lower bound on ||A||
+    norms = np.empty(len(ops))
+    live = np.arange(len(ops))  # group positions of the unfinished operators
+    Q = np.empty((len(ops), min(m_max, _LANCZOS_FIRST_TEST) + 1, p))
+    start = np.random.default_rng(p).standard_normal(p)
+    Q[:, 0] = start / np.sqrt(start @ start)
+    alpha, beta = np.empty((2, len(ops), m_max))
+    scale = np.zeros(len(ops))  # largest |alpha| or beta so far, a lower bound on the norm
     for j in range(m_max):
-        w = A @ Q[j]
-        alpha[j] = Q[j] @ w
-        w -= alpha[j] * Q[j]
+        q = Q[:, j]
+        w = apply(q, ops)
+        a = alpha[:, j] = np.vecdot(q, w)
+        w -= a[:, None] * q
         if j:
-            w -= beta[j - 1] * Q[j - 1]
-        w -= Q[: j + 1].T @ (Q[: j + 1] @ w)
-        beta[j] = np.sqrt(w @ w)
-        scale = max(scale, abs(alpha[j]), beta[j])
+            w -= beta[:, j - 1, None] * Q[:, j - 1]
+        basis = Q[:, : j + 1]
+        w -= np.matmul(np.matmul(basis, w[:, :, None]).transpose(0, 2, 1), basis)[:, 0]
+        b = beta[:, j] = np.sqrt(np.vecdot(w, w))
+        np.maximum(scale, np.maximum(np.abs(a), b), out=scale)
         m = j + 1
-        invariant = beta[j] <= _BREAKDOWN_RTOL * scale
-        if invariant or (m >= _LANCZOS_FIRST_TEST
-                         and (m - _LANCZOS_FIRST_TEST) % _LANCZOS_TEST_EVERY == 0):
-            off = beta[: m - 1]
-            theta, s = np.linalg.eigh(np.diag(alpha[:m]) + np.diag(off, 1) + np.diag(off, -1))
-            ends = np.abs(theta[[0, -1]])
-            top = ends.max()
-            if invariant:
-                return float(top)
-            r = beta[j] * np.abs(s[-1, [0, -1]])
-            if np.all(r <= np.maximum(_RITZ_RTOL * top, top - ends)):
-                return float(top)
-        Q[m] = w / beta[j]
-    return matrix_norm(A, "operator")
+        invariant = b <= _BREAKDOWN_RTOL * scale
+        test = m >= _LANCZOS_FIRST_TEST and (m - _LANCZOS_FIRST_TEST) % _LANCZOS_TEST_EVERY == 0
+        if test or np.count_nonzero(invariant):
+            at = slice(None) if test else invariant
+            off = beta[at, : m - 1]
+            T = np.zeros((len(off), m, m))
+            i = np.arange(m)
+            T[:, i, i] = alpha[at, :m]
+            T[:, i[1:], i[:-1]] = T[:, i[:-1], i[1:]] = off
+            theta, s = np.linalg.eigh(T)
+            ends = np.abs(theta[:, [0, -1]])
+            top = ends.max(axis=1)
+            r = b[at, None] * np.abs(s[:, -1, [0, -1]])
+            done = np.zeros(len(live), dtype=bool)
+            done[at] = invariant[at] | np.all(
+                r <= np.maximum(_RITZ_RTOL * top[:, None], top[:, None] - ends), axis=1)
+            norms[live[done]] = top[done[at]]
+            if done.all():
+                return norms
+            keep = ~done
+            live, w, alpha, beta, scale = (x[keep] for x in (live, w, alpha, beta, scale))
+            ops, Q = _kept_rows(ops, keep), _kept_rows(Q, keep)
+        if test:  # the basis grows to the next test
+            steps = min(m_max, m + _LANCZOS_TEST_EVERY) + 1 - m
+            Q = np.concatenate([Q[:, :m], np.empty((live.size, steps, p))], axis=1)
+        np.divide(w, beta[:, j, None], out=Q[:, m])
+    for i, op in zip(live, ops):
+        norms[i] = matrix_norm(dense(op), "operator")
+    return norms
 
 
-def _gram_rows(X):
-    """(J, out) -> rows J of the sample covariance of the data X, written
-    into ``out`` as A[:, J].T @ A / n from the centred A; for all rows numpy
-    runs one ``syrk``, the bytes of ``sample_covariance(X)``."""
-    A = X - X.mean(axis=0)
-    return lambda J, out: np.divide(np.matmul(A[:, J].T, A, out=out), len(A), out=out)
+def _kept_rows(x, keep):
+    """x[keep] without a copy: the kept rows move to the front of x, in order."""
+    kept = np.flatnonzero(keep)
+    for dst, src in enumerate(kept):
+        if dst != src:
+            x[dst] = x[src]
+    return x[: kept.size]
+
+
+def _operator_band_curve(p, ks):
+    """The function (fit, target) -> ||B_k(S) - T||_2 for every k in ks
+    (all below p - 1), by :func:`_lanczos_norms` on the maps v -> B_k(S) v
+    - T v.
+
+    S is held in band storage (Golub & Van Loan, *Matrix Computations*,
+    4.3): row j holds S[j, j - K .. j + K], zero past the matrix edge, for K
+    = max k, and is read from ``fit`` in row blocks, so S is never formed
+    whole.  B_k(S) v is then a row-wise product with a strided window of v
+    zero-padded by K, and T v comes from ``target.apply`` (low rank for a
+    split part).  The bandwidths run in groups of consecutive k, as many as
+    fit ``_LANCZOS_GROUP_BYTES``; a group keeps its own band storage, zero
+    beyond each operator's k, cut to the group's widest band.  Its products
+    run batched, so a value can move in the last bits with the width and
+    size of its group.  ``eigvalsh`` needs the dense B_k(S) - T, which is
+    built for that operator alone.
+    """
+    K = int(ks[-1])
+    width = 2 * K + 1
+    distance = np.abs(np.arange(-K, K + 1))
+    size = max(1, _LANCZOS_GROUP_BYTES // (8 * p * (min(p, _LANCZOS_MAX_STEPS) + 1 + width)))
+    b = min(p, max(1, _BAND_READ_BYTES // (8 * (p + 2 * K))))
+
+    def curve(fit, target):
+        buf, S = np.zeros((b, p + 2 * K)), np.empty((p, width))
+        for j0 in range(0, p, b):
+            bt = min(b, p - j0)
+            rows = buf[:bt, K: K + p]
+            if (got := fit(slice(j0, j0 + bt), rows)) is not rows:
+                rows[...] = got
+            S[j0: j0 + bt] = _diagonal_windows(buf[:, j0:], bt, width)
+        del buf
+        dense_T = []
+
+        def dense(op):  # B_k(S) - T for one operator
+            if not dense_T:
+                dense_T.append(target(slice(None), np.empty((p, p))))
+            half = op.shape[1] // 2
+            E = np.zeros((p, p + 2 * half))
+            _diagonal_windows(E, p, op.shape[1], writeable=True)[...] = op
+            return E[:, half: half + p] - dense_T[0]
+
+        def products(V, ops):
+            half = ops.shape[2] // 2
+            padded = np.zeros((len(V), p + 2 * half))
+            padded[:, half: half + p] = V
+            # row t of window i is padded[i, t : t + width]; np.ndarray, as as_strided
+            # costs 15 us a call
+            step = padded.strides[1]
+            windows = np.ndarray(ops.shape, buffer=padded, strides=(padded.strides[0], step, step))
+            # one BLAS dot per row pays off from 64 columns on (p = 1000, k <= 99:
+            # 0.87 s per split against 0.97 s for einsum), einsum below it
+            out = np.vecdot(windows, ops) if ops.shape[2] > 64 else np.einsum("itw,itw->it",
+                                                                              windows, ops)
+            out -= target.apply(V)
+            return out
+
+        losses = np.empty(ks.size)
+        for g in range(0, ks.size, size):
+            kg = ks[g: g + size]
+            cut = slice(K - kg[-1], K + kg[-1] + 1)
+            ops = np.where(distance[cut] <= kg[:, None, None], S[:, cut], 0.0)
+            losses[g: g + size] = _lanczos_norms(ops, products, dense, p)
+            del ops  # before the next group's copy is made
+        return losses
+    return curve
+
+
+def _wide_band_curve(p, ks):
+    """The function (fit, target) -> ||B_k(S) - T||_2 for every k in ks, by
+    :func:`_lanczos_norms` on groups of consecutive k that share one dense
+    D = B_K(S) - T, K the group's widest band: operator i applies D and
+    takes off the diagonals k_i < |d| <= K of S (its ring).
+
+    A group's products are then one matrix product D V' for all its
+    operators, whose D stays in cache, plus two row-wise products with the
+    rings, so a group holds one dense matrix whatever its size; its size is
+    set by ``_LANCZOS_GROUP_BYTES`` on the Lanczos bases alone.  Bandwidths
+    past p - 1 repeat the value at p - 1.  ``eigvalsh`` gets D minus the
+    ring of that operator alone.
+    """
+    kc, where = np.unique(np.minimum(ks, p - 1), return_inverse=True)
+    size = max(1, _LANCZOS_GROUP_BYTES // (8 * p * (min(p, _LANCZOS_MAX_STEPS) + 1)))
+
+    def curve(fit, target):  # all rows, each into one new array (out=None would make two)
+        S, T = fit(slice(None), np.empty((p, p))), target(slice(None), np.empty((p, p)))
+        losses = np.empty(kc.size)
+        for g in range(0, kc.size, size):
+            kg = kc[g: g + size]
+            K, d = int(kg[-1]), np.arange(kg[0] + 1, kg[-1] + 1)
+            D = next(band_path(S, [K]))
+            shared = _Dense(np.subtract(D, T, out=D))
+            ring = np.zeros((2, d.size, p))  # [0, e, t] = S[t, t + d_e], [1, e, t] = S[t, t - d_e]
+            for e, de in enumerate(d):
+                ring[0, e, : p - de] = ring[1, e, de:] = np.diagonal(S, de)
+
+            def products(V, ops):
+                out = shared.apply(V)
+                if not d.size:
+                    return out
+                padded = np.zeros((len(V), p + 2 * K))
+                padded[:, K: K + p] = V
+                step = padded.strides[1]
+                for side, sign in enumerate((1, -1)):  # windows padded[i, K + t +- d_e]
+                    windows = np.ndarray(ops.shape[:1] + ops.shape[2:], buffer=padded,
+                                         offset=(K + sign * d[0]) * step,
+                                         strides=(padded.strides[0], sign * step, step))
+                    out -= np.einsum("iet,iet->it", windows, ops[:, side])
+                return out
+
+            def dense(op):  # D less this operator's ring
+                E = D.copy()
+                for e, de in enumerate(d):
+                    t = np.arange(p - de)
+                    E[t, t + de] -= op[0, e, : p - de]
+                    E[t + de, t] -= op[1, e, de:]
+                return E
+
+            ops = np.where((d > kg[:, None])[:, None, :, None], ring, 0.0)
+            losses[g: g + size] = _lanczos_norms(ops, products, dense, p)
+        return losses[where]
+    return curve
+
+
+def _diagonal_windows(M, rows, width, writeable=False):
+    """The view whose row t is M[t, t : t + width]."""
+    r, c = M.strides
+    return as_strided(M, (rows, width), (r + c, c), writeable=writeable)
 
 
 # Bytes of the (1,1) curve's Delta buffer, which set its row block: b = 65

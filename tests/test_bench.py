@@ -71,6 +71,10 @@ def test_spec_validation():
         small_spec(estimator_kind="ridge")
     with pytest.raises(ValueError):
         small_spec(seed=-1)
+    for n, n1 in ((30, 1), (30, 29), (5, None)):  # n = 5 splits 1 + 4 by default
+        with pytest.raises(ValueError, match="both split groups need >= 2 rows"):
+            small_spec(n=n, n1=n1)
+    assert small_spec(n=30, n1=28).n1 == 28
 
 
 # ---------------------------------------------------------------------------

@@ -306,8 +306,9 @@ def test_bench_writes_reports_and_curves(tmp_path):
     assert risks[list(ks).index(k0)] == risks.min()
 
 
-@pytest.mark.parametrize("bad", [("--model", "ar1:rho=2"), ("--n", "3")],
-                         ids=["second_model", "n"])
+@pytest.mark.parametrize("bad", [("--model", "ar1:rho=2"), ("--n", "3"), ("--n1", "1"),
+                                 ("--n1", "23")],
+                         ids=["second_model", "n", "n1_small", "n1_large"])
 def test_bench_usage_errors_write_no_file(tmp_path, capsys, bad):
     # every configuration is checked before the output directory is made
     out_dir = tmp_path / "bench"
@@ -315,6 +316,16 @@ def test_bench_usage_errors_write_no_file(tmp_path, capsys, bad):
                "--N", "2", "--seed", "3", *bad, "--out-dir", str(out_dir)) == 1
     assert "covband:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_split_too_small_for_a_group_makes_no_directory(tmp_path, capsys):
+    # --n1 1 leaves one row in the fitted group: a usage error, found
+    # before --out-dir is made
+    out_dir = tmp_path / "bench"
+    assert run("bench", "--model", "ma1:rho=0.5", "--p", "5", "--n", "10", "--reps", "1",
+               "--N", "2", "--n1", "1", "--seed", "7", "--out-dir", str(out_dir)) == 1
+    assert "n1=1" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_bench_is_byte_deterministic(tmp_path):

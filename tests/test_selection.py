@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import tracemalloc
 from unittest import mock
 
@@ -20,10 +22,12 @@ from covband.selection import (
     RiskCurve,
     SelectionResult,
     _LANCZOS_MIN_P,
-    _gram_rows,
+    _Dense,
+    _Gram,
+    _dense_products,
+    _lanczos_norms,
     _one_one_band_curve,
     _split_loss_curve,
-    _spectral_norm,
     default_k_grid,
     estimate_risk,
     log_split_size,
@@ -316,19 +320,20 @@ def test_operator_oracle_k1_matches_eigvalsh_per_bandwidth(kind):
 
 def _record_blas_threads(get, seen):
     """A patch that appends the BLAS thread count to ``seen`` at every Gram
-    product of a split part or a sample: all rows at once, or one block of
-    a banded (1,1) curve."""
+    product of a split part or a sample: rows (all at once, or one block of
+    a banded curve) and the products S v of the operator-norm curves."""
     from covband import selection
 
-    def gram_rows(X):
-        rows = _gram_rows(X)
-
-        def recorded(J, out):
+    class Recorded(_Gram):
+        def __call__(self, J, out):
             seen.append(get())
-            return rows(J, out)
-        return recorded
+            return super().__call__(J, out)
 
-    return mock.patch.object(selection, "_gram_rows", gram_rows)
+        def apply(self, V):
+            seen.append(get())
+            return super().apply(V)
+
+    return mock.patch.object(selection, "_Gram", Recorded)
 
 
 def test_operator_curves_take_sample_covariances_on_one_blas_thread():
@@ -378,6 +383,56 @@ def test_banded_one_one_curve_runs_on_one_blas_thread():
         assert seen == [1] * (3 * 2 * 3 + 3)
     finally:
         set_(before)
+
+
+def test_lanczos_curves_run_every_product_on_one_blas_thread():
+    # p = 200 reaches Lanczos: band storage read in row blocks and the
+    # products S2 v of the narrow bands, the shared dense products of the
+    # wide bands, the dense differences of the cholesky curve, for splits
+    # and for the oracle: every one on one thread
+    from covband import selection
+    from covband.matcore import _openblas_threads
+
+    threads = _openblas_threads()
+    if threads is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    get, set_ = threads
+    seen = {"rows": [], "S v": [], "D v": [], "dense differences": []}
+
+    class Gram(_Gram):
+        def __call__(self, J, out):
+            seen["rows"].append(get())
+            return super().__call__(J, out)
+
+        def apply(self, V):
+            seen["S v"].append(get())
+            return super().apply(V)
+
+    class Dense(_Dense):
+        def apply(self, V):
+            seen["D v"].append(get())
+            return super().apply(V)
+
+    def dense_products(V, D):
+        seen["dense differences"].append(get())
+        return _dense_products(V, D)
+
+    X = np.random.default_rng(24).standard_normal((40, 200))
+    before = get()
+    set_(2)
+    try:
+        with (mock.patch.object(selection, "_Gram", Gram),
+              mock.patch.object(selection, "_Dense", Dense),
+              mock.patch.object(selection, "_dense_products", dense_products)):
+            estimate_risk(X, k_grid=[0, 3, 60, 61, 199], N=2, norm="operator", seed=0)
+            estimate_risk(X, k_grid=[0, 5], estimator_kind="cholesky", N=1, n1=20,
+                          norm="operator", seed=0)
+            oracle_k1(X, np.eye(200), k_grid=[0, 3, 60], norm="operator")
+        assert get() == 2
+    finally:
+        set_(before)
+    assert {kind: set(counts) for kind, counts in seen.items()} == {kind: {1} for kind in seen}
+    assert min(map(len, seen.values())) > 20
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +501,7 @@ def test_gram_rows_of_all_rows_are_the_sample_covariance():
     # one block is one syrk on the centred data, so a curve of one block
     # starts from the bytes of sample_covariance
     X = np.random.default_rng(20).standard_normal((33, 50))
-    assert_array_equal(_gram_rows(X)(slice(0, 50), np.empty((50, 50))), sample_covariance(X))
+    assert_array_equal(_Gram(X)(slice(0, 50), np.empty((50, 50))), sample_covariance(X))
 
 
 BLOCK = 4
@@ -474,7 +529,7 @@ def test_one_one_band_curve_across_block_boundaries(p, grid, truth):
     def gram_rows(X):
         i = len(products)
         products.append(0)
-        rows = _gram_rows(X)
+        rows = _Gram(X)
 
         def counted(J, out):
             products[i] += 1
@@ -517,6 +572,111 @@ def test_banded_one_one_peak_memory_does_not_grow_with_splits():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 600 * 600 * 8 / 4
+
+
+def test_banded_operator_curve_below_the_lanczos_threshold_is_eigvalsh_bit_for_bit():
+    # below _LANCZOS_MIN_P every bandwidth is eigvalsh of band(S1, k) - S2,
+    # the split covariances the bytes of sample_covariance
+    from covband.simgen import substream
+
+    n, p, n1, seed = 30, 40, 10, 5
+    X = np.random.default_rng(21).standard_normal((n, p))
+    ks = np.array([0, 1, 4, 20, 39, 45])
+    curve = estimate_risk(X, k_grid=ks, N=2, n1=n1, norm="operator", seed=seed)
+    expected = np.zeros(ks.size)
+    for nu in range(2):
+        perm = substream(seed, nu).permutation(n)
+        S1, S2 = sample_covariance(X[perm[:n1]]), sample_covariance(X[perm[n1:]])
+        expected += [matrix_norm(band(S1, k) - S2, "operator") for k in ks]
+    assert_array_equal(curve.risk, expected / 2)
+
+
+def operator_band_case(p=200, n=40, seed=22):
+    """AR(1) data, a grid with narrow and wide bands and bandwidths past p - 1,
+    and the eigvalsh loss of each bandwidth on one split (n1 = n // 3)."""
+    from covband.simgen import substream
+
+    X = sample_gaussian(build_covariance(CovarianceModel("ar1", 0.6), p), n, seed)
+    ks = np.array([0, 1, 2, 5, 9, 17, 33, 49, 50, 120, p - 1, p + 5])
+    perm = substream(seed, 0).permutation(n)
+    S1, S2 = sample_covariance(X[perm[: n // 3]]), sample_covariance(X[perm[n // 3:]])
+    expected = [matrix_norm(band(S1, k) - S2, "operator") for k in ks]
+    return X, ks, expected
+
+
+@pytest.mark.parametrize("group_bytes", [1, 2 * 8 * 200 * 260, None],
+                         ids=["one_per_group", "two_per_group", "default"])
+@pytest.mark.parametrize("block_bytes", [8 * 7 * 298, None], ids=["blocks_of_7_rows", "default"])
+def test_banded_operator_curve_across_groups_and_row_blocks(group_bytes, block_bytes):
+    # p = 200: bandwidths with 2k + 1 <= p / 2 take band storage, read in
+    # row blocks (the last one short), in lockstep groups of consecutive k;
+    # the rest take dense differences.  A bandwidth's value moves with its
+    # group only in the last bits: the band and low-rank products run batched.
+    from covband import selection
+
+    X, ks, expected = operator_band_case()
+    patches = {"_LANCZOS_GROUP_BYTES": group_bytes, "_BAND_READ_BYTES": block_bytes}
+    with contextlib.ExitStack() as stack:
+        for name, value in patches.items():
+            if value is not None:
+                stack.enter_context(mock.patch.object(selection, name, value))
+        risk = estimate_risk(X, k_grid=ks, N=1, norm="operator", seed=22).risk
+    assert_allclose(risk, expected, rtol=1e-12, atol=0)
+    assert risk[-1] == risk[-2]
+    default = estimate_risk(X, k_grid=ks, N=1, norm="operator", seed=22).risk
+    assert_allclose(risk, default, rtol=1e-14, atol=0)
+
+
+def test_banded_operator_curve_falls_back_to_eigvalsh_one_bandwidth_at_a_time():
+    # with a cap of 32 steps some bandwidths stop unconverged; each gets
+    # eigvalsh of its own dense B_k(S1) - S2 (built from the band storage
+    # for a narrow band) while the rest of its group goes on
+    from covband import selection
+
+    X, ks, expected = operator_band_case()
+    fallbacks = []
+
+    def counted(M, which):
+        fallbacks.append(M.shape)
+        return matrix_norm(M, which)
+
+    with (mock.patch.object(selection, "_LANCZOS_MAX_STEPS", 32),
+          mock.patch.object(selection, "matrix_norm", counted)):
+        risk = estimate_risk(X, k_grid=ks, N=1, norm="operator", seed=22).risk
+    assert_allclose(risk, expected, rtol=1e-12, atol=0)
+    assert 0 < len(fallbacks) < ks.size and set(fallbacks) == {(200, 200)}
+
+
+def test_banded_operator_oracle_reads_the_truth_in_row_blocks():
+    # the truth's rows come back as views, not in the block buffer
+    from covband import selection
+
+    p = 200
+    truth = build_covariance(CovarianceModel("ma1", 0.5), p)
+    X = sample_gaussian(truth, 30, 23)
+    ks = np.array([0, 1, 3, 8, 30, 70])
+    S = sample_covariance(X)
+    expected = [matrix_norm(band(S, k) - truth, "operator") for k in ks]
+    with mock.patch.object(selection, "_BAND_READ_BYTES", 8 * 9 * (p + 60)):
+        result = oracle_k1(X, truth, ks, norm="operator")
+    assert_allclose(result.curve.risk, expected, rtol=1e-12, atol=0)
+
+
+def test_banded_operator_peak_memory_does_not_grow_with_the_band():
+    # the narrow bands of p = 1000 run matrix free: S1 in band storage, S2 as
+    # a low-rank product, so widening the grid from k <= 9 to k <= 99 adds
+    # less than one p x p float64 array (8 MB) to the traced peak
+    p = 1000
+    X = sample_gaussian(build_covariance(CovarianceModel("ar1", 0.5), p), 100, 19)
+    peaks = []
+    for k_max in (9, 99):
+        tracemalloc.start()
+        try:
+            estimate_risk(X, k_grid=np.arange(k_max + 1), N=1, norm="operator", seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < p * p * 8
 
 
 def test_banded_operator_curve_does_not_recheck_each_split():
@@ -655,6 +815,33 @@ def test_risk_curve_csv_malformed_line_names_file_and_line(tmp_path, body):
         read_risk_curve(path)
 
 
+def test_risk_curve_csv_k_beyond_int64_is_a_format_error(tmp_path):
+    path = tmp_path / "curve.csv"
+    path.write_text("k,risk\n99999999999999999999,1.0\n")
+    with pytest.raises(DataFormatError, match="curve.csv:2: '99999999999999999999,1.0'"):
+        read_risk_curve(path)
+
+
+@pytest.mark.parametrize("body", ["0,1.0\n1,inf\n", "0,1.0\n1,nan\n", "0,1.0\n1,-0.5\n",
+                                  "1,1.0\n0,2.0\n", "0,1.0\n0,2.0\n",
+                                  "0,1.0\n9223372036854775808,2.0\n", "# k_hat=0\n-1,1.0\n"],
+                         ids=["inf", "nan", "negative_risk", "unsorted", "repeated", "int64_max+1",
+                              "negative_k"])
+def test_risk_curve_csv_rows_a_curve_refuses_name_file_and_line(tmp_path, body):
+    # every row RiskCurve would refuse is reported where it stands
+    path = tmp_path / "curve.csv"
+    path.write_text("k,risk\n" + body)
+    with pytest.raises(DataFormatError, match="curve.csv:3: .* needs a 64-bit k"):
+        read_risk_curve(path)
+
+
+def test_risk_curve_csv_accepts_the_largest_int64_k(tmp_path):
+    path = tmp_path / "curve.csv"
+    path.write_text("k,risk\n0,0.0\n9223372036854775807,2.5\n")
+    ks, risks, k_hat = read_risk_curve(path)
+    assert ks.tolist() == [0, 2**63 - 1] and risks.tolist() == [0.0, 2.5] and k_hat is None
+
+
 # ---------------------------------------------------------------------------
 # operator norm by Lanczos
 # ---------------------------------------------------------------------------
@@ -663,17 +850,39 @@ def test_risk_curve_csv_malformed_line_names_file_and_line(tmp_path, body):
 LANCZOS_DIMS = [_LANCZOS_MIN_P - 1, _LANCZOS_MIN_P, _LANCZOS_MIN_P + 33]
 
 
+def lanczos_norms(*matrices):
+    """_lanczos_norms of the symmetric p x p matrices, as one group."""
+    return _lanczos_norms(np.stack(matrices), _dense_products, lambda D: D, matrices[0].shape[0])
+
+
+@functools.cache
+def companions(p):
+    """Matrices that share a group with the one under test and finish at
+    other steps: the zero matrix at the first, a rank-one shift of -I at the
+    second, and one with two isolated extremes at the first test."""
+    rng = np.random.default_rng(p)
+    u = rng.standard_normal(p)
+    return (np.zeros((p, p)), np.outer(u, u) - np.eye(p),
+            with_spectrum(np.concatenate([[4.0, -3.0], rng.uniform(-1, 1, p - 2)]), rng))
+
+
 def assert_spectral_norm_is_eigvalsh(A, converges=False):
-    """_spectral_norm(A) is max |eigvalsh(A)| to 1e-12; with ``converges``,
-    a matrix of Lanczos size must get there without the eigvalsh fallback."""
+    """The Lanczos norm of A is max |eigvalsh(A)| to 1e-12, alone and as the
+    third of a mixed group, bit for bit the same in both; with
+    ``converges``, a matrix of Lanczos size must get there without the
+    eigvalsh fallback."""
     expected = np.max(np.abs(np.linalg.eigvalsh(A)))
+    zero, shifted, isolated = companions(A.shape[0])
     if converges and A.shape[0] >= _LANCZOS_MIN_P:
         with mock.patch("covband.selection.matrix_norm",
                         side_effect=AssertionError("fell back to eigvalsh")):
-            value = _spectral_norm(A)
+            (alone,), grouped = lanczos_norms(A), lanczos_norms(zero, shifted, A, isolated)
     else:
-        value = _spectral_norm(A)
-    assert_allclose(value, expected, rtol=1e-12, atol=0)
+        (alone,), grouped = lanczos_norms(A), lanczos_norms(zero, shifted, A, isolated)
+    assert_allclose(alone, expected, rtol=1e-12, atol=0)
+    assert grouped[2] == alone
+    assert_allclose(grouped[[0, 1, 3]], [np.max(np.abs(np.linalg.eigvalsh(M)))
+                                         for M in (zero, shifted, isolated)], rtol=1e-12, atol=0)
 
 
 def with_spectrum(eigenvalues, rng, persymmetric=False):
@@ -739,4 +948,4 @@ def test_spectral_norm_of_matrices_that_end_the_iteration_early(p):
 
 def test_spectral_norm_is_eigvalsh_below_the_threshold():
     A = symmetrize(np.random.default_rng(0).standard_normal((_LANCZOS_MIN_P - 1,) * 2))
-    assert _spectral_norm(A) == matrix_norm(A, "operator")
+    assert lanczos_norms(A)[0] == matrix_norm(A, "operator")

@@ -52,6 +52,9 @@ COMMANDS = [
                               "--k-max", "40", "--seed", "3", "--out", "curve.csv"]),
     ("select-operator", ["select", "--data", f"{INPUTS}/ar1_p200.csv", "--norm", "operator",
                          "--N", "5", "--k-max", "30", "--seed", "3", "--out", "curve.csv"]),
+    ("select-operator-p400", ["select", "--data", f"{INPUTS}/ar1_p400.csv", "--N", "10",
+                              "--norm", "operator", "--k-max", "29", "--seed", "3",
+                              "--out", "curve.csv"]),
     ("select-cholesky", ["select", "--data", f"{INPUTS}/walk_p102.csv", "--estimator",
                          "cholesky", "--N", "10", "--seed", "3", "--out", "curve.csv"]),
     ("bench-banded", ["bench", "--model", "ma1:rho=0.5", "--p", "10", "--p", "100",
@@ -66,6 +69,10 @@ COMMANDS = [
     ("predict-banded-k3", ["predict", "--counts", f"{INPUTS}/counts.csv", "--n-train", "45",
                            "--split", "12", "--estimator", "banded", "--k", "3",
                            "--out", "fc.csv"]),
+    # p = 200: the oracle curves run Lanczos against the dense truth
+    ("bench-banded-operator", ["bench", "--model", "ar1:rho=0.5", "--p", "200", "--n", "100",
+                               "--reps", "2", "--N", "5", "--norm", "operator", "--seed", "7",
+                               "--out-dir", "bench"]),
     # a negative seed, on every command that takes --seed
     ("negative-seed-simulate", ["simulate", "--model", "ar1:rho=0.5", "--p", "5", "--n", "10",
                                 "--seed", "-1", "--out", "data.csv"]),
@@ -83,6 +90,9 @@ COMMANDS = [
     ("bench-invalid-second-model", ["bench", "--model", "ar1:rho=0.5", "--model", "ar1:rho=2",
                                     "--p", "10", "--n", "30", "--reps", "1", "--N", "2",
                                     "--seed", "7", "--out-dir", "bench"]),
+    ("bench-invalid-n1", ["bench", "--model", "ma1:rho=0.5", "--p", "5", "--n", "10",
+                          "--reps", "1", "--N", "2", "--n1", "1", "--seed", "7",
+                          "--out-dir", "bench"]),
     ("predict-baseline-equals-out", ["predict", "--counts", f"{INPUTS}/counts.csv",
                                      "--n-train", "45", "--split", "12", "--estimator", "banded",
                                      "--k", "3", "--out", "fc.csv", "--baseline-out", "fc.csv"]),
