@@ -8,8 +8,8 @@ averaging over splits, and minimizing over the bandwidth grid
 bandwidths of a split advance together through one Lanczos iteration, in
 groups sized by a fixed byte budget, each from the same fixed start vector;
 narrow bands never form a p x p matrix (S1 is held in band storage, S2
-applied as a low-rank product), wider ones share one dense difference per
-group, and the Cholesky estimates take their own.
+applied as a low-rank product), while wider ones and the Cholesky
+estimates each take a dense difference.
 ``numpy.linalg.eigvalsh`` is the answer for small matrices and for an
 iteration that does not converge.
 
@@ -299,20 +299,21 @@ def _split_loss_curve(p, ks, estimator_kind, norm):
     part, or :class:`_Dense` of the truth that ``oracle_k1`` has checked.
     Banded (1,1) curves take both in row blocks along diagonals.  Banded
     operator-norm curves with p >= ``_LANCZOS_MIN_P`` take the bandwidths
-    with 2k + 1 <= p / ``_BAND_STORAGE_SHARE`` matrix free
-    (:func:`_operator_band_curve`, T as a product) and the wider ones from
-    one dense difference per group (:func:`_wide_band_curve`).  Every other
-    curve takes all rows of both and one estimate per bandwidth from
-    ``band_path`` or ``cholesky_covariance_path`` (:func:`_dense_curve`).
+    with 2k + 1 <= p / 2 matrix free (:func:`_operator_band_curve`, T as a
+    product).  Every other bandwidth and curve takes all rows of both and
+    one estimate per bandwidth from ``band_path`` or
+    ``cholesky_covariance_path`` (:func:`_dense_curve`).
     Callers run it on one BLAS thread, every Gram product included.
     """
     if estimator_kind == "banded" and norm == "one_one":
         return _one_one_band_curve(p, ks)
     path = band_path if estimator_kind == "banded" else cholesky_covariance_path
     if estimator_kind == "banded" and p >= _LANCZOS_MIN_P:
-        narrow = int(np.searchsorted(ks, (p // _BAND_STORAGE_SHARE - 1) // 2, side="right"))
-        parts = [make(p, part) for make, part in ((_operator_band_curve, ks[:narrow]),
-                                                  (_wide_band_curve, ks[narrow:])) if part.size]
+        # wider bands are faster as dense differences, whose products are BLAS
+        narrow = int(np.searchsorted(ks, (p // 2 - 1) // 2, side="right"))
+        parts = [_operator_band_curve(p, ks[:narrow])] if narrow else []
+        if narrow < ks.size:
+            parts.append(_dense_curve(p, ks[narrow:], path, norm))
         return lambda fit, target: np.concatenate([part(fit, target) for part in parts])
     return _dense_curve(p, ks, path, norm)
 
@@ -332,12 +333,19 @@ def _dense_curve(p, ks, path, norm):
                 return float(np.max(np.sum(np.abs(np.subtract(E, T, out=E), out=E), axis=0)))
             # map holds no estimate past its loss, so each is freed before the next is built
             return np.fromiter(map(loss, estimates), float, ks.size)
-        losses, group = np.empty(ks.size), np.empty((min(size, ks.size), p, p))
+        losses = np.empty(ks.size)
+        group = np.empty((min(size, ks.size), p, p)) if size > 1 else None
         for g in range(0, ks.size, size):
-            ops = group[: ks.size - g]
-            for D, E in zip(ops, estimates):  # zip takes no estimate past the group
-                np.subtract(E, T, out=D)
+            if group is None:  # a fresh estimate holds its own difference
+                E = next(estimates)
+                ops = np.subtract(E, T, out=E)[None]
+            else:
+                ops = group[: ks.size - g]
+                for D, E in zip(ops, estimates):  # zip takes no estimate past the group
+                    np.subtract(E, T, out=D)
+            del E  # no estimate outlives its group's norms, nor a difference its group
             losses[g: g + len(ops)] = _lanczos_norms(ops, _dense_products, lambda D: D, p)
+            del ops
         return losses
     return curve
 
@@ -393,15 +401,11 @@ _LANCZOS_TEST_EVERY = 8
 _RITZ_RTOL = 1e-13
 _BREAKDOWN_RTOL = 1e-13
 # Bytes that one group of operators may hold: each one's Lanczos basis at
-# the step cap plus its band storage or dense difference (a group of wide
-# bands shares one).  5 narrow bands at p = 400, k <= 29 (select-operator-p400
-# then peaks 1.7 MB lower in RSS than the old one dense difference at a time;
-# 8 per group: 0.2 MB lower), 1 at p = 1000, k <= 99, 8 wide bands and 2
-# cholesky estimates at p = 400.
+# the step cap plus its band storage or dense difference.  5 narrow bands at
+# p = 400, k <= 29 (select-operator-p400 then peaks 1.7 MB lower in RSS than
+# the old one dense difference at a time; 8 per group: 0.2 MB lower), 1 at
+# p = 1000, k <= 99, 1 dense difference at p = 400.
 _LANCZOS_GROUP_BYTES = 4 * 2**20
-# Band storage serves bandwidths with 2k + 1 <= p / _BAND_STORAGE_SHARE;
-# wider bands share a dense difference, whose product is faster there.
-_BAND_STORAGE_SHARE = 2
 # Bytes of the row block that band storage is read in.  Small: with 1 MiB
 # blocks select-operator-p400 peaked 1.2 MB higher in RSS.
 _BAND_READ_BYTES = 2**16
@@ -453,13 +457,13 @@ def _lanczos_norms(ops, apply, dense, p):
     for j in range(m_max):
         q = Q[:, j]
         w = apply(q, ops)
-        a = alpha[:, j] = np.vecdot(q, w)
+        a = alpha[:, j] = _row_dots(q, w)
         w -= a[:, None] * q
         if j:
             w -= beta[:, j - 1, None] * Q[:, j - 1]
         basis = Q[:, : j + 1]
         w -= np.matmul(np.matmul(basis, w[:, :, None]).transpose(0, 2, 1), basis)[:, 0]
-        b = beta[:, j] = np.sqrt(np.vecdot(w, w))
+        b = beta[:, j] = np.sqrt(_row_dots(w, w))
         np.maximum(scale, np.maximum(np.abs(a), b), out=scale)
         m = j + 1
         invariant = b <= _BREAKDOWN_RTOL * scale
@@ -491,6 +495,12 @@ def _lanczos_norms(ops, apply, dense, p):
     for i, op in zip(live, ops):
         norms[i] = matrix_norm(dense(op), "operator")
     return norms
+
+
+def _row_dots(a, b):
+    """The dot products of matching last-axis rows of a and b, one BLAS dot
+    each (``np.vecdot``, which needs numpy 2, gives the same bits)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _kept_rows(x, keep):
@@ -530,8 +540,7 @@ def _operator_band_curve(p, ks):
         for j0 in range(0, p, b):
             bt = min(b, p - j0)
             rows = buf[:bt, K: K + p]
-            if (got := fit(slice(j0, j0 + bt), rows)) is not rows:
-                rows[...] = got
+            fit(slice(j0, j0 + bt), rows)
             S[j0: j0 + bt] = _diagonal_windows(buf[:, j0:], bt, width)
         del buf
         dense_T = []
@@ -554,8 +563,8 @@ def _operator_band_curve(p, ks):
             windows = np.ndarray(ops.shape, buffer=padded, strides=(padded.strides[0], step, step))
             # one BLAS dot per row pays off from 64 columns on (p = 1000, k <= 99:
             # 0.87 s per split against 0.97 s for einsum), einsum below it
-            out = np.vecdot(windows, ops) if ops.shape[2] > 64 else np.einsum("itw,itw->it",
-                                                                              windows, ops)
+            out = _row_dots(windows, ops) if ops.shape[2] > 64 else np.einsum("itw,itw->it",
+                                                                               windows, ops)
             out -= target.apply(V)
             return out
 
@@ -567,62 +576,6 @@ def _operator_band_curve(p, ks):
             losses[g: g + size] = _lanczos_norms(ops, products, dense, p)
             del ops  # before the next group's copy is made
         return losses
-    return curve
-
-
-def _wide_band_curve(p, ks):
-    """The function (fit, target) -> ||B_k(S) - T||_2 for every k in ks, by
-    :func:`_lanczos_norms` on groups of consecutive k that share one dense
-    D = B_K(S) - T, K the group's widest band: operator i applies D and
-    takes off the diagonals k_i < |d| <= K of S (its ring).
-
-    A group's products are then one matrix product D V' for all its
-    operators, whose D stays in cache, plus two row-wise products with the
-    rings, so a group holds one dense matrix whatever its size; its size is
-    set by ``_LANCZOS_GROUP_BYTES`` on the Lanczos bases alone.  Bandwidths
-    past p - 1 repeat the value at p - 1.  ``eigvalsh`` gets D minus the
-    ring of that operator alone.
-    """
-    kc, where = np.unique(np.minimum(ks, p - 1), return_inverse=True)
-    size = max(1, _LANCZOS_GROUP_BYTES // (8 * p * (min(p, _LANCZOS_MAX_STEPS) + 1)))
-
-    def curve(fit, target):  # all rows, each into one new array (out=None would make two)
-        S, T = fit(slice(None), np.empty((p, p))), target(slice(None), np.empty((p, p)))
-        losses = np.empty(kc.size)
-        for g in range(0, kc.size, size):
-            kg = kc[g: g + size]
-            K, d = int(kg[-1]), np.arange(kg[0] + 1, kg[-1] + 1)
-            D = next(band_path(S, [K]))
-            shared = _Dense(np.subtract(D, T, out=D))
-            ring = np.zeros((2, d.size, p))  # [0, e, t] = S[t, t + d_e], [1, e, t] = S[t, t - d_e]
-            for e, de in enumerate(d):
-                ring[0, e, : p - de] = ring[1, e, de:] = np.diagonal(S, de)
-
-            def products(V, ops):
-                out = shared.apply(V)
-                if not d.size:
-                    return out
-                padded = np.zeros((len(V), p + 2 * K))
-                padded[:, K: K + p] = V
-                step = padded.strides[1]
-                for side, sign in enumerate((1, -1)):  # windows padded[i, K + t +- d_e]
-                    windows = np.ndarray(ops.shape[:1] + ops.shape[2:], buffer=padded,
-                                         offset=(K + sign * d[0]) * step,
-                                         strides=(padded.strides[0], sign * step, step))
-                    out -= np.einsum("iet,iet->it", windows, ops[:, side])
-                return out
-
-            def dense(op):  # D less this operator's ring
-                E = D.copy()
-                for e, de in enumerate(d):
-                    t = np.arange(p - de)
-                    E[t, t + de] -= op[0, e, : p - de]
-                    E[t + de, t] -= op[1, e, de:]
-                return E
-
-            ops = np.where((d > kg[:, None])[:, None, :, None], ring, 0.0)
-            losses[g: g + size] = _lanczos_norms(ops, products, dense, p)
-        return losses[where]
     return curve
 
 

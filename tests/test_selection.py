@@ -387,9 +387,9 @@ def test_banded_one_one_curve_runs_on_one_blas_thread():
 
 def test_lanczos_curves_run_every_product_on_one_blas_thread():
     # p = 200 reaches Lanczos: band storage read in row blocks and the
-    # products S2 v of the narrow bands, the shared dense products of the
-    # wide bands, the dense differences of the cholesky curve, for splits
-    # and for the oracle: every one on one thread
+    # products S2 v of the narrow bands, the dense truth's products of the
+    # oracle, the dense differences of the wide bands and of the cholesky
+    # curve: every one on one thread
     from covband import selection
     from covband.matcore import _openblas_threads
 
@@ -647,8 +647,9 @@ def test_banded_operator_curve_falls_back_to_eigvalsh_one_bandwidth_at_a_time():
     assert 0 < len(fallbacks) < ks.size and set(fallbacks) == {(200, 200)}
 
 
-def test_banded_operator_oracle_reads_the_truth_in_row_blocks():
-    # the truth's rows come back as views, not in the block buffer
+def test_banded_operator_oracle_applies_the_dense_truth():
+    # oracle_k1's narrow bands: the sample's band storage read in row blocks,
+    # less the dense truth applied as one product per step (_Dense.apply)
     from covband import selection
 
     p = 200
