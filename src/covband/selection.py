@@ -391,7 +391,7 @@ def _dense_products(V, D):
 # steps at p = 400 and at p = 1000).  The threshold is where the lockstep
 # groups pulled ahead for AR(1) splits, n = 100, one thread, 2 vCPUs: per
 # split at p = 128 / 144, banded k <= 29 took 30 / 32 ms against 36 / 45 ms
-# for eigvalsh, all k 139 / 172 ms against 140 / 217, cholesky k <= 31
+# for eigvalsh, all k 133 / 165 ms against 148 / 192, cholesky k <= 31
 # 36 / 50 ms against 45 / 60 (at p = 112 eigvalsh was faster in all three).
 _LANCZOS_MIN_P = 144
 _LANCZOS_MAX_STEPS = 160
@@ -404,7 +404,7 @@ _BREAKDOWN_RTOL = 1e-13
 # the step cap plus its band storage or dense difference.  5 narrow bands at
 # p = 400, k <= 29 (select-operator-p400 then peaks 1.7 MB lower in RSS than
 # the old one dense difference at a time; 8 per group: 0.2 MB lower), 1 at
-# p = 1000, k <= 99, 1 dense difference at p = 400.
+# p = 1000, k <= 99, 2 dense differences at p = 400 and 1 from p = 438 on.
 _LANCZOS_GROUP_BYTES = 4 * 2**20
 # Bytes of the row block that band storage is read in.  Small: with 1 MiB
 # blocks select-operator-p400 peaked 1.2 MB higher in RSS.

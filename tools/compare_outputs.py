@@ -11,9 +11,10 @@ own working directory ``OUT_DIR/<parent|change>/<name>``, on inputs that
 this script writes once to ``OUT_DIR/inputs`` with plain numpy.  Paths in
 the command lines are relative, so printed lines can be compared as text.
 
-For each command the exit code, stdout, stderr and every written file are
-compared byte for byte.  For a CSV that differs, the largest relative
-difference over its numeric fields is printed.  The exit status is 0 only
+For each command the exit code, stdout, stderr, every written file and
+every directory made (an empty one too) are compared byte for byte.  For a
+CSV that differs, the largest relative difference over its numeric fields
+is printed.  The exit status is 0 only
 when everything is identical.  Each tree takes well under two minutes.
 """
 
@@ -141,9 +142,12 @@ def run_tree(src: str, out_dir: str) -> None:
 
 
 def files_under(directory: str) -> set[str]:
+    """Every file below ``directory``, and every directory with a trailing
+    ``/``, so that a directory left behind empty is compared too."""
     return {
-        os.path.relpath(os.path.join(root, f), directory)
-        for root, _, names in os.walk(directory) for f in names
+        os.path.relpath(os.path.join(root, f), directory) + end
+        for root, dirs, names in os.walk(directory)
+        for entries, end in ((dirs, "/"), (names, "")) for f in entries
     }
 
 
@@ -182,7 +186,7 @@ def compare(parent_dir: str, change_dir: str) -> int:
         a_files, b_files = files_under(a_dir), files_under(b_dir)
         notes = [f"only in parent: {f}" for f in sorted(a_files - b_files)]
         notes += [f"only in change: {f}" for f in sorted(b_files - a_files)]
-        for f in sorted(a_files & b_files):
+        for f in sorted(f for f in a_files & b_files if not f.endswith("/")):
             a_path, b_path = os.path.join(a_dir, f), os.path.join(b_dir, f)
             with open(a_path, "rb") as fa, open(b_path, "rb") as fb:
                 a_bytes, b_bytes = fa.read(), fb.read()
@@ -197,7 +201,7 @@ def compare(parent_dir: str, change_dir: str) -> int:
                 notes.append(f"{f} differs:\n" + "\n".join("      " + d for d in list(diff)[2:]))
             else:
                 notes.append(f"{f} differs: {max_relative_difference(a_path, b_path)}")
-        n = len(a_files | b_files)
+        n = sum(not f.endswith("/") for f in a_files | b_files)
         if notes:
             differing += 1
             print(f"DIFFERS   {name} ({n} files)")
