@@ -415,8 +415,9 @@ def _lanczos_norms(ops, apply, dense, p):
     """max |eigenvalue| of each symmetric p x p operator of a group, by
     Lanczos iterations that advance in lockstep.
 
-    ``ops`` is an array whose first axis runs over the operators,
-    ``apply(V, ops)`` a new array whose row i is operator i applied to V[i],
+    ``ops`` is an array whose first axis runs over the operators, and is
+    overwritten (the unfinished ones move to its front), ``apply(V, ops)``
+    a new array whose row i is operator i applied to V[i],
     and ``dense(op)`` the p x p array of one operator.  Each step is one
     call of ``apply`` and a few batched numpy calls for the whole group.
     Its own arithmetic is row by row, so with an ``apply`` that is too (one
