@@ -4,12 +4,12 @@ The data-driven bandwidth is picked by splitting the sample N times at
 random into groups of size n1 and n2, fitting the regularized estimator on
 group 1, measuring its distance to the plain sample covariance of group 2,
 averaging over splits, and minimizing over the bandwidth grid
-(:func:`estimate_risk` / :func:`select_k`).  In the operator norm the
-bandwidths of a split advance together through one Lanczos iteration, in
-groups sized by a fixed byte budget, each from the same fixed start vector;
-narrow bands never form a p x p matrix (S1 is held in band storage, S2
-applied as a low-rank product), while wider ones and the Cholesky
-estimates each take a dense difference.
+(:func:`estimate_risk` / :func:`select_k`).  In the operator norm each
+loss is a Lanczos iteration from the same fixed start vector.  Narrow
+bands (2k + 1 <= p / 2) advance together through one iteration, in groups
+sized by a fixed byte budget, and never form a p x p matrix (S1 is held in
+band storage, S2 applied as a low-rank product); wider bands and the
+Cholesky estimates each take a dense difference, one at a time.
 ``numpy.linalg.eigvalsh`` is the answer for small matrices and for an
 iteration that does not converge.
 
@@ -300,9 +300,9 @@ def _split_loss_curve(p, ks, estimator_kind, norm):
     Banded (1,1) curves take both in row blocks along diagonals.  Banded
     operator-norm curves with p >= ``_LANCZOS_MIN_P`` take the bandwidths
     with 2k + 1 <= p / 2 matrix free (:func:`_operator_band_curve`, T as a
-    product).  Every other bandwidth and curve takes all rows of both and
-    one estimate per bandwidth from ``band_path`` or
-    ``cholesky_covariance_path`` (:func:`_dense_curve`).
+    product), in lockstep groups.  Every other bandwidth and curve takes all
+    rows of both and one estimate per bandwidth from ``band_path`` or
+    ``cholesky_covariance_path``, its loss taken alone (:func:`_dense_curve`).
     Callers run it on one BLAS thread, every Gram product included.
     """
     if estimator_kind == "banded" and norm == "one_one":
@@ -320,33 +320,19 @@ def _split_loss_curve(p, ks, estimator_kind, norm):
 
 def _dense_curve(p, ks, path, norm):
     """The function (fit, target) -> ||E_k - T|| over the estimates E_k of
-    ``path(S, ks)``, from all rows of S and T.  Operator norms run in groups
-    of dense differences, as many as fit ``_LANCZOS_GROUP_BYTES`` with their
-    Lanczos bases."""
-    size = max(1, _LANCZOS_GROUP_BYTES // (8 * p * (min(p, _LANCZOS_MAX_STEPS) + 1 + p)))
+    ``path(S, ks)``, from all rows of S and T, one estimate at a time."""
 
     def curve(fit, target):  # all rows, each into one new array (out=None would make two)
         T = target(slice(None), np.empty((p, p)))
         estimates = path(fit(slice(None), np.empty((p, p))), ks)
-        if norm == "one_one":
-            def loss(E):  # E is a fresh array, so it can hold its own difference
-                return float(np.max(np.sum(np.abs(np.subtract(E, T, out=E), out=E), axis=0)))
-            # map holds no estimate past its loss, so each is freed before the next is built
-            return np.fromiter(map(loss, estimates), float, ks.size)
-        losses = np.empty(ks.size)
-        group = np.empty((min(size, ks.size), p, p)) if size > 1 else None
-        for g in range(0, ks.size, size):
-            if group is None:  # a fresh estimate holds its own difference
-                E = next(estimates)
-                ops = np.subtract(E, T, out=E)[None]
-            else:
-                ops = group[: ks.size - g]
-                for D, E in zip(ops, estimates):  # zip takes no estimate past the group
-                    np.subtract(E, T, out=D)
-            del E  # no estimate outlives its group's norms, nor a difference its group
-            losses[g: g + len(ops)] = _lanczos_norms(ops, _dense_products, lambda D: D, p)
-            del ops
-        return losses
+
+        def loss(E):  # E is a fresh array, so it can hold its own difference
+            D = np.subtract(E, T, out=E)
+            if norm == "one_one":
+                return float(np.max(np.sum(np.abs(D, out=D), axis=0)))
+            return _lanczos_norms(D[None], _dense_products, lambda op: op, p)[0]
+        # map holds no estimate past its loss, so each is freed before the next is built
+        return np.fromiter(map(loss, estimates), float, ks.size)
     return curve
 
 
@@ -388,11 +374,11 @@ def _dense_products(V, D):
 
 # Lanczos operator norm: eigvalsh below _LANCZOS_MIN_P and after
 # _LANCZOS_MAX_STEPS steps without convergence (those splits took 48..56
-# steps at p = 400 and at p = 1000).  The threshold is where the lockstep
-# groups pulled ahead for AR(1) splits, n = 100, one thread, 2 vCPUs: per
-# split at p = 128 / 144, banded k <= 29 took 30 / 32 ms against 36 / 45 ms
-# for eigvalsh, all k 133 / 165 ms against 148 / 192, cholesky k <= 31
-# 36 / 50 ms against 45 / 60 (at p = 112 eigvalsh was faster in all three).
+# steps at p = 400 and at p = 1000).  The threshold is where lockstep groups
+# of narrow bands pulled ahead (AR(1) splits, n = 100, one thread, 2 vCPUs):
+# at p = 128 / 144, k <= 29 took 30 / 32 ms per split against 36 / 45 ms for
+# eigvalsh.  A dense difference alone gains only from p ~ 192: at p = 144 all
+# k took 175 ms against 131, cholesky k <= 31 51 ms against 36 to 44.
 _LANCZOS_MIN_P = 144
 _LANCZOS_MAX_STEPS = 160
 # each convergence test is a dense eigh of T, so test sparsely
@@ -400,11 +386,11 @@ _LANCZOS_FIRST_TEST = 24
 _LANCZOS_TEST_EVERY = 8
 _RITZ_RTOL = 1e-13
 _BREAKDOWN_RTOL = 1e-13
-# Bytes that one group of operators may hold: each one's Lanczos basis at
-# the step cap plus its band storage or dense difference.  5 narrow bands at
-# p = 400, k <= 29 (select-operator-p400 then peaks 1.7 MB lower in RSS than
-# the old one dense difference at a time; 8 per group: 0.2 MB lower), 1 at
-# p = 1000, k <= 99, 2 dense differences at p = 400 and 1 from p = 438 on.
+# Bytes that one group of narrow bands may hold: each one's Lanczos basis
+# at the step cap plus its band storage.  5 bands at p = 400, k <= 29
+# (select-operator-p400 then peaks 1.7 MB lower in RSS than the old one
+# dense difference at a time; 8 per group: 0.2 MB lower), 1 at p = 1000,
+# k <= 99.
 _LANCZOS_GROUP_BYTES = 4 * 2**20
 # Bytes of the row block that band storage is read in.  Small: with 1 MiB
 # blocks select-operator-p400 peaked 1.2 MB higher in RSS.
@@ -540,19 +526,15 @@ def _operator_band_curve(p, ks):
         buf, S = np.zeros((b, p + 2 * K)), np.empty((p, width))
         for j0 in range(0, p, b):
             bt = min(b, p - j0)
-            rows = buf[:bt, K: K + p]
-            fit(slice(j0, j0 + bt), rows)
+            fit(slice(j0, j0 + bt), buf[:bt, K: K + p])
             S[j0: j0 + bt] = _diagonal_windows(buf[:, j0:], bt, width)
         del buf
-        dense_T = []
 
-        def dense(op):  # B_k(S) - T for one operator
-            if not dense_T:
-                dense_T.append(target(slice(None), np.empty((p, p))))
+        def dense(op):  # B_k(S) - T for one operator that reached the step cap
             half = op.shape[1] // 2
             E = np.zeros((p, p + 2 * half))
             _diagonal_windows(E, p, op.shape[1], writeable=True)[...] = op
-            return E[:, half: half + p] - dense_T[0]
+            return E[:, half: half + p] - target(slice(None), np.empty((p, p)))
 
         def products(V, ops):
             half = ops.shape[2] // 2
@@ -601,8 +583,8 @@ def _one_one_band_curve(p, ks):
     |T|, column j's sum at bandwidth k is colsum|T|_j + sum over |d| <= k
     of Delta[j, j + d], as S and T are symmetric: inside the band |S - T|
     replaces |T|.  Each row of a block's Delta is stored after K zeros,
-    which makes the entries at distance d left and right of the diagonal
-    two strided views of one buffer (zero where j - d < 0 or j + d >= p).
+    which makes the entries within distance K of the diagonal one strided
+    window per row of one buffer (zero where j - d < 0 or j + d >= p).
     One cumulative sum over d then gives every bandwidth up to K = min(max
     k, p - 1), bandwidths past p - 1 repeat the value at p - 1, and the
     curve is the running max over blocks.  A block has as many rows as fit
@@ -613,24 +595,22 @@ def _one_one_band_curve(p, ks):
     K = int(kc[-1])
     r = p + K
     b = min(p, max(1, _ONE_ONE_BLOCK_BYTES // (8 * r)))
-    buf, G, rows = np.zeros(b * r + K), np.empty((b, K + 1)), np.empty((2, b, p))
-    step = buf.itemsize
+    buf, G, rows = np.zeros((b + 1, r)), np.empty((b, K + 1)), np.empty((2, b, p))
 
     def curve(fit, target):
         best = np.full(K + 1, -np.inf)
         for j0 in range(0, p, b):
             J, bt = slice(j0, j0 + b), min(b, p - j0)
             S, T = fit(J, rows[0, :bt]), target(J, rows[1, :bt])
-            delta = buf[: bt * r].reshape(bt, r)[:, K:]
+            delta = buf[:bt, K:]
             np.abs(np.subtract(S, T, out=delta), out=delta)
             delta -= np.abs(T, out=rows[0, :bt])  # S is spent
-            # g[t, d] = rowsum|T|_j + Delta[t, j] at d = 0, Delta[t, j - d] + Delta[t, j + d]
-            # after, for row j = j0 + t
+            # W[t] = Delta[t, j - K .. j + K] for row j = j0 + t, zero off the matrix: the
+            # last row reads up to K entries into buf[bt], whose first K are never written
+            W = _diagonal_windows(buf[:, j0:], bt, 2 * K + 1)
             g = G[:bt]
-            np.add(rows[0, :bt].sum(axis=1), np.diagonal(delta, j0), out=g[:, 0])
-            right = as_strided(buf[K + j0 + 1:], (bt, K), ((r + 1) * step, step), writeable=False)
-            left = as_strided(buf[K + j0 - 1:], (bt, K), ((r + 1) * step, -step), writeable=False)
-            np.add(left, right, out=g[:, 1:])
+            np.add(rows[0, :bt].sum(axis=1), W[:, K], out=g[:, 0])
+            np.add(W[:, :K][:, ::-1], W[:, K + 1:], out=g[:, 1:])
             np.cumsum(g, axis=1, out=g)
             np.maximum(best, g.max(axis=0), out=best)
         return best[kc]

@@ -16,7 +16,7 @@ from covband.estimators import (
     cholesky_covariance_path,
     sample_covariance,
 )
-from covband.matcore import band, matrix_norm, symmetrize
+from covband.matcore import band, band_path, matrix_norm, symmetrize
 from covband.selection import (
     ESTIMATOR_KINDS,
     RiskCurve,
@@ -24,6 +24,7 @@ from covband.selection import (
     _LANCZOS_MIN_P,
     _Dense,
     _Gram,
+    _dense_curve,
     _dense_products,
     _lanczos_norms,
     _one_one_band_curve,
@@ -678,6 +679,29 @@ def test_banded_operator_peak_memory_does_not_grow_with_the_band():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < p * p * 8
+
+
+@pytest.mark.parametrize("kind, path, ks", [
+    ("cholesky", cholesky_covariance_path, np.arange(16)),
+    ("banded", band_path, np.arange(100, 110)),  # 2k + 1 > p / 2: dense differences
+], ids=["cholesky", "wide_bands"])
+def test_dense_operator_losses_peak_no_higher_than_their_one_one_losses(kind, path, ks):
+    # each estimate holds its own difference and its loss is taken alone, so
+    # the operator norm adds only a Lanczos basis (under half a p x p array)
+    # to the traced peak of the (1,1) loss of the same estimates
+    p = 400
+    X = sample_gaussian(build_covariance(CovarianceModel("ar1", 0.5), p), 100, 19)
+    fit, target = _Gram(X[:33]), _Gram(X[33:])
+    peaks = []
+    for curve in (_dense_curve(p, ks, path, "one_one"),
+                  _split_loss_curve(p, ks, kind, "operator")):
+        tracemalloc.start()
+        try:
+            curve(fit, target)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + p * p * 8 / 2
 
 
 def test_banded_operator_curve_does_not_recheck_each_split():

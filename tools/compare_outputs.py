@@ -58,6 +58,10 @@ COMMANDS = [
                               "--out", "curve.csv"]),
     ("select-cholesky", ["select", "--data", f"{INPUTS}/walk_p102.csv", "--estimator",
                          "cholesky", "--N", "10", "--seed", "3", "--out", "curve.csv"]),
+    # p = 200: the Cholesky estimates take the Lanczos operator norm
+    ("select-cholesky-operator", ["select", "--data", f"{INPUTS}/ar1_p200.csv", "--estimator",
+                                  "cholesky", "--norm", "operator", "--N", "5", "--seed", "3",
+                                  "--out", "curve.csv"]),
     ("bench-banded", ["bench", "--model", "ma1:rho=0.5", "--p", "10", "--p", "100",
                       "--n", "100", "--reps", "5", "--N", "10", "--seed", "7",
                       "--out-dir", "bench"]),
