@@ -21,15 +21,15 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .errors import BandwidthTooLarge, NotPositiveDefinite, SingularDesign
+from .errors import BandwidthTooLarge, SingularDesign
 from .matcore import (
+    PD_PIVOT_RTOL,
     TaperSpec,
     band,
-    cholesky_factor,
     load_data_csv,  # noqa: F401  (data CSV I/O lives here with save_data_csv)
-    require_symmetric,
+    row_dots,
     schur_product,
     symmetrize,
     taper_weights,
@@ -114,30 +114,33 @@ def fit_banded_cholesky(X, k: int) -> BandedCholeskyFactors:
     Coordinate 1 gets the empty regression: zero coefficients and the
     sample variance of column 1.
 
-    Solved through the sample covariance: the coefficients are the
-    normal-equation solution on the corresponding covariance block, and
-    the residual variance is the Schur complement.  Requires k <= n - 2 so
-    the largest regression stays nondegenerate.
+    Solved on the rows, by one order-recursive sweep that raises the
+    bandwidth of every regression a step at a time (sliding-window
+    Gram-Schmidt, :func:`_band_regressions`): no sample covariance and no
+    normal equations.  Requires k <= n - 2 so the largest regression stays
+    nondegenerate; SingularDesign when the package's Cholesky pivot rule
+    refuses a regressor Gram block or a residual variance is not positive.
     """
-    X, k = _cholesky_input(X, k)
-    coef, D = _band_regressions(sample_covariance(X), [k])
+    X, ks = _cholesky_input(X, [k])
+    coef, D = _band_regressions(X, ks)
     rows, i = np.nonzero(coef[0])
     A = np.zeros((X.shape[1], X.shape[1]))
     A[rows, rows - 1 - i] = coef[0, rows, i]
-    return BandedCholeskyFactors(k=k, A=A, D=D[0])
+    return BandedCholeskyFactors(k=int(ks[0]), A=A, D=D[0])
 
 
-def cholesky_covariance_path(S, ks):
+def cholesky_covariance_path(X, ks):
     """Iterator over the covariance estimates of the bandwidth-k Cholesky fit,
-    one p x p array per k in ks, from the sample covariance ``S`` (as in
+    one p x p array per k in ks, from the (n, p) data matrix ``X`` (as in
     :func:`fit_banded_cholesky`).
 
-    Every regression is solved, and SingularDesign raised like the single
-    fit, before this returns; the estimates are then built in chunks of at
-    most 1 MiB (or one estimate), so memory is O(p^2), not O(len(ks) p^2).
-    A finished chunk is not kept: dropped estimates are freed at once.
+    X is validated and centred once, and every regression is solved, and
+    SingularDesign raised like the single fit, before this returns; the
+    estimates are then built in chunks of at most 1 MiB (or one estimate),
+    so memory is O(p^2), not O(len(ks) p^2).  A finished chunk is not kept:
+    dropped estimates are freed at once.
     """
-    coef, D = _band_regressions(require_symmetric(S, "S"), ks)
+    coef, D = _band_regressions(*_cholesky_input(X, ks))
     step = max(1, _PATH_BYTES // (8 * D.shape[1] ** 2))
     return itertools.chain.from_iterable(
         _covariance_from_band(coef[i : i + step], D[i : i + step])
@@ -163,8 +166,7 @@ def factors_to_matrices(f: BandedCholeskyFactors) -> tuple[np.ndarray, np.ndarra
 
 def cholesky_banded_covariance(X, k: int) -> np.ndarray:
     """Covariance of the bandwidth-k Cholesky fit, built without A or the precision."""
-    X, k = _cholesky_input(X, k)
-    return next(cholesky_covariance_path(sample_covariance(X), [k]))
+    return next(cholesky_covariance_path(X, [k]))
 
 
 def fit_covariance(X, kind, k: int | None = None, taper: TaperSpec | None = None) -> np.ndarray:
@@ -199,72 +201,99 @@ def save_data_csv(path, X) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cholesky_input(X, k) -> tuple[np.ndarray, int]:
-    """Validated data matrix and bandwidth of a Cholesky fit, k <= n - 2."""
+def _cholesky_input(X, ks) -> tuple[np.ndarray, np.ndarray]:
+    """Validated data matrix and bandwidths of a Cholesky fit, 0 <= k <= n - 2."""
     X = as_data_matrix(X)
-    k, n = int(k), X.shape[0]
-    if k > n - 2:
-        raise BandwidthTooLarge(f"bandwidth k={k} needs n >= k + 2 observations, got n={n}")
-    return X, k
-
-
-def _band_regressions(S, ks) -> tuple[np.ndarray, np.ndarray]:
-    """Band coefficients (len(ks), p, K) and residual variances (len(ks), p)
-    of the bandwidth-k regressions implied by covariance S, for k in ks.
-
-    Each column's Gram block G of its K = max(ks) nearest predecessors,
-    nearest first, is factored once as G = L L'.  The leading m x m block
-    of L is the factor of the m-nearest Gram block, so with y = inv(L) c
-    (c the covariances of the column with those predecessors) the size-m
-    residual variance is S_jj - sum(y[:m]**2) and the coefficients are
-    inv(L[:m, :m])' y[:m]: one factorization per column serves every
-    bandwidth.  Columns with fewer than K predecessors are padded with a
-    scaled identity, which changes neither their regressions nor their
-    pivot tolerance.  The Gram blocks are copied from one strided view of
-    S reversed and zero-padded; O(p K^3) flops, O(p K^2) memory.  Raises
-    SingularDesign when a Gram block fails the Cholesky test or a residual
-    variance is not positive.
-    """
-    p = S.shape[0]
-    ks = np.asarray(ks, dtype=int)
+    ks, n = np.asarray(ks, dtype=int), X.shape[0]
     if ks.min() < 0:
         raise ValueError("bandwidths must be >= 0")
+    if ks.max() > n - 2:
+        raise BandwidthTooLarge(f"bandwidth k={ks.max()} needs n >= k + 2 observations, got n={n}")
+    return X, ks
+
+
+def _band_regressions(X, ks) -> tuple[np.ndarray, np.ndarray]:
+    """Band coefficients (len(ks), p, K) and residual variances (len(ks), p)
+    of the bandwidth-k regressions on the centred columns of X, for k in ks.
+
+    Order-recursive least squares on the rows (Levinson 1947; the lattice of
+    Lee, Morf & Friedlander 1981), a sliding-window Gram-Schmidt.  After
+    stage m the forward residual f_j is column j's residual on its m nearest
+    predecessors, and the backward residual g_t column t's on its m
+    successors.  Stage m pairs f_j with g_(j-m), both residuals on columns
+    j - m + 1 .. j - 1, for every j >= m at once: with Delta = <f_j, g_(j-m)>,
+    f_j -= Delta / |g|^2 g_(j-m) and g_(j-m) -= Delta / |f|^2 f_j (old f_j).
+    The forward and backward coefficients (nearest first) follow the same
+    rule against each other reversed, and take the two ratios as their new
+    last entries.  Columns j < m keep order j.  Every squared norm is a sum
+    of squares, never a difference; the variances are these over n.  Each
+    stage writes the bandwidth-m rows of the output; K = min(max ks, p - 1)
+    stages take O(n p K + p K^2) flops and O(p (n + K)) work memory.
+
+    |g_(j-m)|^2 / n entering stage m is the m-th Cholesky pivot of the Gram
+    block of column j's predecessors, nearest first, so the package rule of
+    :func:`~covband.matcore.cholesky_factor` applies: SingularDesign unless
+    it is at least PD_PIVOT_RTOL times the largest variance of those K
+    predecessors (of all of them when a column has fewer).  A residual
+    variance that is not positive also raises SingularDesign.  Both are
+    tested before any division.
+    """
+    n, p = X.shape
     K = min(int(ks.max()), p - 1)
-    s_diag = np.diag(S)
-    if K == 0:
-        return np.zeros((ks.size, p, 0)), np.tile(s_diag, (ks.size, 1))
-    # R[a, b] = S[p-1-a, p-1-b] with K zero rows and columns appended: the
-    # Gram block of column j is R[p-j:p-j+K, p-j:p-j+K], and its covariances
-    # with column j are R[p-j:p-j+K, p-j-1]
-    R = np.zeros((p + K, p + K))
-    R[:p, :p] = S[::-1, ::-1]
-    row, step = R.strides
-    G = as_strided(R[1:, 1:], (p, K, K), (row + step, row, step))[::-1].copy()
-    c = as_strided(R[1:], (p, K), (row + step, row))[::-1]
-    j, i = np.triu_indices(K)  # column j < K lacks its predecessors i >= j
-    G[j, i, i] = np.where(j > 0, np.maximum.accumulate(s_diag[:K])[j - 1], 1.0)
-    try:
-        L = cholesky_factor(G)
-    except NotPositiveDefinite as exc:
-        raise SingularDesign(f"regressor Gram block failed the Cholesky test: {exc}") from None
-    del G
-    Linv = _tril_inverse(L)
-    del L
-    y = (Linv @ c[:, :, None])[:, :, 0]  # 0 on the padding: L is block diagonal there
-    # row m of resid holds the size-m residual variances, m = 0..K, and
-    # row m - 1 of the cumulated Linv rows the size-m coefficients
-    resid = s_diag[:, None] - np.cumsum(np.pad(y * y, ((0, 0), (1, 0))), axis=1)
-    if not np.all(resid[:, K] > 0):  # resid is nonincreasing in m
-        bad = int(np.argmin(resid[:, K]))
-        raise SingularDesign(
-            f"residual variance of coordinate {bad + 1} is not positive "
-            "(exactly collinear columns)"
-        )
-    Linv *= y[:, :, None]
-    m = np.minimum(ks, K)
-    coef = np.take(np.cumsum(Linv, axis=1, out=Linv), m - 1, axis=1, mode="clip")
-    coef[:, m == 0] = 0.0
-    return coef.transpose(1, 0, 2), resid[:, m].T
+    rows = [[] for _ in range(K + 1)]  # the output rows of each bandwidth
+    for i, k in enumerate(ks):
+        rows[min(k, K)].append(i)
+    # R[0, j] = f_j and R[1, t] = g_t, both starting from the centred column;
+    # Q their squared norms, C their coefficients (forward, backward).  The
+    # partners f_j and g_(j-m) sit m rows apart: one view per array pairs them
+    # (_pairs), and in a paired view q[::-1] holds each one's partner
+    R = np.empty((2, p, n))
+    np.subtract(X.T, X.mean(axis=0)[:, None], out=R[0])
+    R[1] = R[0]
+    Q = row_dots(R, R)
+    coef, D = np.zeros((ks.size, p, K)), np.empty((ks.size, p))
+    D[rows[0]] = Q[0]
+    if K:
+        # tolerance of column j's pivots, from its predecessors j - K .. j - 1
+        tol = PD_PIVOT_RTOL * sliding_window_view(np.pad(Q[0, :-1], (K, 0)), K).max(axis=1)
+        if not (tol[1:] > 0).all():
+            raise SingularDesign("a regressor Gram block has no positive diagonal entry")
+        C, work, cwork = np.zeros((2, p, K)), np.empty((2, p, n)), np.empty((2, p, K))
+    for m in range(1, K + 1):
+        r, q, c = (_pairs(M, m) for M in (R, Q, C))
+        if not (q[1] >= tol[m:]).all():
+            j = m + int(np.argmin(q[1] >= tol[m:]))
+            raise SingularDesign(f"pivot {m} of the Gram block of coordinate {j + 1}, "
+                                 f"{q[1, j - m] / n:.3e}, is below tolerance {tol[j] / n:.3e}")
+        if not (q[0] > 0).all():
+            raise _not_positive(q[0], m)
+        kappa = row_dots(r[0], r[1]) / q[::-1]  # Delta / |g|^2, Delta / |f|^2
+        w, cw = work[:, : p - m], cwork[:, : p - m, : m - 1]
+        r -= np.multiply(r[::-1], kappa[..., None], out=w)
+        q[...] = row_dots(r, r)
+        c[..., : m - 1] -= np.multiply(c[::-1, :, : m - 1][..., ::-1], kappa[..., None], out=cw)
+        c[..., m - 1] = kappa
+        for i in rows[m]:
+            coef[i], D[i] = C[0], Q[0]
+    if K and not (Q[0] > 0).all():
+        raise _not_positive(Q[0], 0)
+    return coef, np.divide(D, n, out=D)
+
+
+def _pairs(M, m) -> np.ndarray:
+    """The view of a C-contiguous (2, p, ...) array M whose [0] is M[0, m:]
+    and whose [1] is M[1, :p - m]: row i pairs column m + i with column i."""
+    shape = (2, M.shape[1] - m, *M.shape[2:])
+    strides = (M.strides[0] - m * M.strides[1], *M.strides[1:])
+    return np.ndarray(shape, M.dtype, M, m * M.strides[1], strides)
+
+
+def _not_positive(norms, first) -> SingularDesign:
+    """The SingularDesign for squared residual norms of columns first,
+    first + 1, ..., not all positive."""
+    j = first + int(np.argmin(norms > 0))
+    return SingularDesign(f"residual variance of coordinate {j + 1} is not positive "
+                          "(exactly collinear columns)")
 
 
 def _tril_inverse(L, out=None) -> np.ndarray:

@@ -86,6 +86,12 @@ def band_path(A, ks):
         yield np.where(distance <= k, A, 0.0)
 
 
+def row_dots(a, b) -> np.ndarray:
+    """The dot products of matching last-axis rows of a and b, one BLAS dot
+    each (``np.vecdot``, which needs numpy 2, gives the same bits)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def schur_product(A, B) -> np.ndarray:
     """Entry-wise (Schur) product of two symmetric matrices of equal dimension."""
     A = require_symmetric(A, "A")

@@ -35,6 +35,7 @@ from .matcore import (
     matrix_norm,
     read_table,
     require_symmetric,
+    row_dots,
     single_blas_thread,
     write_table,
 )
@@ -301,30 +302,34 @@ def _split_loss_curve(p, ks, estimator_kind, norm):
     operator-norm curves with p >= ``_LANCZOS_MIN_P`` take the bandwidths
     with 2k + 1 <= p / 2 matrix free (:func:`_operator_band_curve`, T as a
     product), in lockstep groups.  Every other bandwidth and curve takes all
-    rows of both and one estimate per bandwidth from ``band_path`` or
-    ``cholesky_covariance_path``, its loss taken alone (:func:`_dense_curve`).
-    Callers run it on one BLAS thread, every Gram product included.
+    rows of T and one estimate per bandwidth, from ``band_path`` of all rows
+    of S or from ``cholesky_covariance_path`` of the split rows, its loss
+    taken alone (:func:`_dense_curve`).  Callers run it on one BLAS thread,
+    every Gram product included.
     """
     if estimator_kind == "banded" and norm == "one_one":
         return _one_one_band_curve(p, ks)
-    path = band_path if estimator_kind == "banded" else cholesky_covariance_path
     if estimator_kind == "banded" and p >= _LANCZOS_MIN_P:
         # wider bands are faster as dense differences, whose products are BLAS
         narrow = int(np.searchsorted(ks, (p // 2 - 1) // 2, side="right"))
         parts = [_operator_band_curve(p, ks[:narrow])] if narrow else []
         if narrow < ks.size:
-            parts.append(_dense_curve(p, ks[narrow:], path, norm))
+            parts.append(_dense_curve(p, ks[narrow:], estimator_kind, norm))
         return lambda fit, target: np.concatenate([part(fit, target) for part in parts])
-    return _dense_curve(p, ks, path, norm)
+    return _dense_curve(p, ks, estimator_kind, norm)
 
 
-def _dense_curve(p, ks, path, norm):
+def _dense_curve(p, ks, estimator_kind, norm):
     """The function (fit, target) -> ||E_k - T|| over the estimates E_k of
-    ``path(S, ks)``, from all rows of S and T, one estimate at a time."""
+    the given kind, from all rows of T, one estimate at a time: banded from
+    all rows of S, Cholesky from the split rows of ``fit``."""
 
     def curve(fit, target):  # all rows, each into one new array (out=None would make two)
         T = target(slice(None), np.empty((p, p)))
-        estimates = path(fit(slice(None), np.empty((p, p))), ks)
+        if estimator_kind == "banded":
+            estimates = band_path(fit(slice(None), np.empty((p, p))), ks)
+        else:
+            estimates = cholesky_covariance_path(fit.X, ks)
 
         def loss(E):  # E is a fresh array, so it can hold its own difference
             D = np.subtract(E, T, out=E)
@@ -341,9 +346,10 @@ class _Gram:
     formed whole.  Called as ``(J, out)`` it writes rows J of S into ``out``
     as A[:, J].T @ A / n (for all rows numpy runs one ``syrk``, the bytes of
     ``sample_covariance(X)``); ``apply(V)`` is the stack of products S v for
-    the rows v of V, (V A') A / n."""
+    the rows v of V, (V A') A / n.  ``X`` itself feeds the Cholesky fit."""
 
     def __init__(self, X):
+        self.X = X
         self.A = X - X.mean(axis=0)
 
     def __call__(self, J, out):
@@ -444,13 +450,13 @@ def _lanczos_norms(ops, apply, dense, p):
     for j in range(m_max):
         q = Q[:, j]
         w = apply(q, ops)
-        a = alpha[:, j] = _row_dots(q, w)
+        a = alpha[:, j] = row_dots(q, w)
         w -= a[:, None] * q
         if j:
             w -= beta[:, j - 1, None] * Q[:, j - 1]
         basis = Q[:, : j + 1]
         w -= np.matmul(np.matmul(basis, w[:, :, None]).transpose(0, 2, 1), basis)[:, 0]
-        b = beta[:, j] = np.sqrt(_row_dots(w, w))
+        b = beta[:, j] = np.sqrt(row_dots(w, w))
         np.maximum(scale, np.maximum(np.abs(a), b), out=scale)
         m = j + 1
         invariant = b <= _BREAKDOWN_RTOL * scale
@@ -482,12 +488,6 @@ def _lanczos_norms(ops, apply, dense, p):
     for i, op in zip(live, ops):
         norms[i] = matrix_norm(dense(op), "operator")
     return norms
-
-
-def _row_dots(a, b):
-    """The dot products of matching last-axis rows of a and b, one BLAS dot
-    each (``np.vecdot``, which needs numpy 2, gives the same bits)."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _kept_rows(x, keep):
@@ -546,7 +546,7 @@ def _operator_band_curve(p, ks):
             windows = np.ndarray(ops.shape, buffer=padded, strides=(padded.strides[0], step, step))
             # one BLAS dot per row pays off from 64 columns on (p = 1000, k <= 99:
             # 0.87 s per split against 0.97 s for einsum), einsum below it
-            out = _row_dots(windows, ops) if ops.shape[2] > 64 else np.einsum("itw,itw->it",
+            out = row_dots(windows, ops) if ops.shape[2] > 64 else np.einsum("itw,itw->it",
                                                                                windows, ops)
             out -= target.apply(V)
             return out

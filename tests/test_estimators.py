@@ -10,6 +10,7 @@ from covband.errors import BandwidthTooLarge, DataFormatError, SingularDesign
 from covband.estimators import (
     ESTIMATORS,
     BandedCholeskyFactors,
+    _band_regressions,
     _tril_inverse,
     banded_covariance,
     cholesky_banded_covariance,
@@ -217,6 +218,61 @@ def test_matches_per_column_least_squares():
                 assert f.D[j] == pytest.approx(np.mean(resid**2), rel=1e-8)
 
 
+def test_long_memory_regressions_match_least_squares_to_rounding():
+    # fgn H = 0.9 at n = 68, p = 102, the forecast benchmark's split: every
+    # bandwidth 0..66 against per-column lstsq on the centred rows (normal
+    # equations on the sample covariance are off by 3e-10..2e-8 here)
+    n, p = 68, 102
+    Sigma = build_covariance(CovarianceModel("fgn", 0.9), p)
+    for seed in range(4):
+        X = sample_gaussian(Sigma, n, seed)
+        Xc = X - X.mean(axis=0)
+        reference = {}  # (j, m) -> coefficients on columns j - m .. j - 1, residual variance
+        for k in range(n - 1):
+            f = fit_banded_cholesky(X, k)
+            for j in range(p):
+                m = min(k, j)
+                if (j, m) not in reference:
+                    Z = Xc[:, j - m : j]
+                    coef = np.linalg.lstsq(Z, Xc[:, j], rcond=None)[0]
+                    reference[j, m] = coef, np.mean((Xc[:, j] - Z @ coef) ** 2)
+                coef, resid = reference[j, m]
+                assert abs(f.D[j] - resid) <= 1e-11 * resid, (seed, k, j)
+                assert np.all(np.abs(f.A[j, j - m : j] - coef)
+                              <= 1e-11 * np.maximum(1.0, np.abs(coef))), (seed, k, j)
+
+
+def test_near_collinear_regression_is_fitted_not_refused():
+    # the last column is its 10 predecessors' combination plus 1e-6 noise:
+    # a residual variance 1e-12 of the column's, which the sweep keeps as a
+    # sum of squares (a Schur complement of the sample covariance refused 2
+    # of these 20 and missed the rest by up to 175x)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((12, 14))
+        X[:, 13] = X[:, 3:13] @ rng.standard_normal(10) + 1e-6 * rng.standard_normal(12)
+        Xc = X - X.mean(axis=0)
+        D = fit_banded_cholesky(X, 10).D
+        for j in range(14):
+            Z = Xc[:, max(0, j - 10) : j]
+            resid = Xc[:, j] - Z @ np.linalg.lstsq(Z, Xc[:, j], rcond=None)[0]
+            assert D[j] == pytest.approx(np.mean(resid**2), rel=1e-6), (seed, j)
+
+
+def test_band_regressions_work_memory_is_under_half_their_output():
+    # p = 1000, n = 33, k = 0..31: besides the (K + 1) p K output the sweep
+    # holds a few p x n and p x K arrays, no p x K x K stack
+    X = _walk_data("walk", 0, 1000)
+    ks = np.arange(32)
+    tracemalloc.start()
+    try:
+        _band_regressions(X, ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * ks.size * 1000 * 31 * 8
+
+
 def test_covariance_matches_sample_covariance_inside_the_band():
     # the bandwidth-k Cholesky estimate is the completion of the band of S
     # whose inverse is k-banded, so it reproduces S on |i - j| <= k
@@ -234,7 +290,7 @@ def test_covariance_matches_sample_covariance_inside_the_band():
 def test_covariance_path_matches_single_fits():
     X = _long_memory(60, 25)
     ks = [0, 1, 2, 5, 13, 40]  # bandwidths past p - 1 act like p - 1
-    path = np.stack(list(cholesky_covariance_path(sample_covariance(X), ks)))
+    path = np.stack(list(cholesky_covariance_path(X, ks)))
     assert path.shape == (len(ks), 25, 25)
     for k, C in zip(ks, path):
         assert_allclose(C, cholesky_banded_covariance(X, min(k, 24)), rtol=1e-12, atol=1e-14)
@@ -302,9 +358,8 @@ def test_covariance_error_scales_with_the_squared_condition_number(kind, p):
 def test_covariance_path_chunks_match_single_fits():
     # at p = 200 three estimates fill a chunk, so ks spans three chunks
     X = _mixed_gaussian(40, 200)
-    S = sample_covariance(X)
     ks = list(range(8))
-    for k, C in zip(ks, cholesky_covariance_path(S, ks), strict=True):
+    for k, C in zip(ks, cholesky_covariance_path(X, ks), strict=True):
         assert np.array_equal(C, C.T)
         assert_allclose(C, cholesky_banded_covariance(X, k), rtol=1e-12, atol=1e-14)
 
@@ -326,7 +381,7 @@ def test_covariance_path_frees_each_estimate_before_the_next():
     # from p = 257 on every chunk is one estimate; a consumer that drops each
     # one must never hold two
     p = 300
-    path = cholesky_covariance_path(sample_covariance(_mixed_gaussian(40, p)), range(8))
+    path = cholesky_covariance_path(_mixed_gaussian(40, p), range(8))
     tracemalloc.start()
     try:
         sums = list(map(np.sum, path))
@@ -399,7 +454,7 @@ def test_exactly_collinear_columns_rejected():
     with pytest.raises(SingularDesign):
         fit_banded_cholesky(X, 2)
     with pytest.raises(SingularDesign):  # raised before any estimate is built
-        cholesky_covariance_path(sample_covariance(X), [0, 2])
+        cholesky_covariance_path(X, [0, 2])
 
 
 def test_constant_column_rejected():

@@ -16,7 +16,7 @@ from covband.estimators import (
     cholesky_covariance_path,
     sample_covariance,
 )
-from covband.matcore import band, band_path, matrix_norm, symmetrize
+from covband.matcore import band, matrix_norm, symmetrize
 from covband.selection import (
     ESTIMATOR_KINDS,
     RiskCurve,
@@ -277,11 +277,11 @@ def test_cholesky_risk_matches_definitional_evaluation():
     assert np.max(np.abs(curve.risk - expected)) <= 1e-10
 
 
-def _estimates(S, kind, ks):
-    """Each bandwidth's estimate from S, one k at a time."""
+def _estimates(X, kind, ks):
+    """Each bandwidth's estimate from the data X, one k at a time."""
     if kind == "banded":
-        return [band(S, k) for k in ks]
-    return [next(cholesky_covariance_path(S, [k])) for k in ks]
+        return [band(sample_covariance(X), k) for k in ks]
+    return [next(cholesky_covariance_path(X, [k])) for k in ks]
 
 
 # for p = 240, above the Lanczos threshold; the cholesky grid stays within k <= n1 - 2
@@ -302,7 +302,7 @@ def test_operator_risk_matches_eigvalsh_per_bandwidth(kind):
         perm = substream(seed, nu).permutation(n)
         S2 = sample_covariance(X[perm[n1:]])
         expected += [matrix_norm(E - S2, "operator")
-                     for E in _estimates(sample_covariance(X[perm[:n1]]), kind, ks)]
+                     for E in _estimates(X[perm[:n1]], kind, ks)]
     assert_allclose(curve.risk, expected / N, rtol=1e-12, atol=0)
 
 
@@ -314,7 +314,7 @@ def test_operator_oracle_k1_matches_eigvalsh_per_bandwidth(kind):
     ks = OPERATOR_GRIDS[kind]
     result = oracle_k1(X, truth, ks, kind, "operator")
     expected = [matrix_norm(E - truth, "operator")
-                for E in _estimates(sample_covariance(X), kind, ks)]
+                for E in _estimates(X, kind, ks)]
     assert_allclose(result.curve.risk, expected, rtol=1e-12, atol=0)
     assert result.k_hat == ks[int(np.argmin(expected))]
 
@@ -681,11 +681,11 @@ def test_banded_operator_peak_memory_does_not_grow_with_the_band():
     assert peaks[1] - peaks[0] < p * p * 8
 
 
-@pytest.mark.parametrize("kind, path, ks", [
-    ("cholesky", cholesky_covariance_path, np.arange(16)),
-    ("banded", band_path, np.arange(100, 110)),  # 2k + 1 > p / 2: dense differences
+@pytest.mark.parametrize("kind, ks", [
+    ("cholesky", np.arange(16)),
+    ("banded", np.arange(100, 110)),  # 2k + 1 > p / 2: dense differences
 ], ids=["cholesky", "wide_bands"])
-def test_dense_operator_losses_peak_no_higher_than_their_one_one_losses(kind, path, ks):
+def test_dense_operator_losses_peak_no_higher_than_their_one_one_losses(kind, ks):
     # each estimate holds its own difference and its loss is taken alone, so
     # the operator norm adds only a Lanczos basis (under half a p x p array)
     # to the traced peak of the (1,1) loss of the same estimates
@@ -693,7 +693,7 @@ def test_dense_operator_losses_peak_no_higher_than_their_one_one_losses(kind, pa
     X = sample_gaussian(build_covariance(CovarianceModel("ar1", 0.5), p), 100, 19)
     fit, target = _Gram(X[:33]), _Gram(X[33:])
     peaks = []
-    for curve in (_dense_curve(p, ks, path, "one_one"),
+    for curve in (_dense_curve(p, ks, kind, "one_one"),
                   _split_loss_curve(p, ks, kind, "operator")):
         tracemalloc.start()
         try:

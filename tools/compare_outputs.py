@@ -71,6 +71,12 @@ COMMANDS = [
     ("predict-cholesky-auto", ["predict", "--counts", f"{INPUTS}/counts.csv", "--n-train", "45",
                                "--split", "12", "--k", "auto", "--N", "10", "--seed", "19",
                                "--out", "fc.csv"]),
+    # the forecast benchmark's surrogate: at k = n1 - 2 = 66 the regressions are
+    # nearly singular
+    ("predict-cholesky-fgn", ["predict", "--counts", f"{INPUTS}/fgn_p102.csv", "--transform",
+                              "none", "--n-train", "205", "--split", "51", "--estimator",
+                              "cholesky", "--k", "auto", "--N", "10", "--seed", "19",
+                              "--out", "fc.csv"]),
     ("predict-banded-k3", ["predict", "--counts", f"{INPUTS}/counts.csv", "--n-train", "45",
                            "--split", "12", "--estimator", "banded", "--k", "3",
                            "--out", "fc.csv"]),
@@ -126,7 +132,13 @@ def write_inputs(directory: str) -> None:
     header = ",".join(f"iv{j}" for j in range(24))
     np.savetxt(os.path.join(directory, "counts.csv"), counts, delimiter=",", fmt="%d",
                header=header, comments="")
-    write_ar1(directory, rng, 1000)  # drawn last, so the earlier inputs keep their values
+    write_ar1(directory, rng, 1000)
+    # drawn last, so the earlier inputs keep their values: 239 rows of
+    # fractional Gaussian noise, H = 0.9, along 102 coordinates
+    d = np.abs(np.subtract.outer(np.arange(102), np.arange(102))).astype(float)
+    fgn = 0.5 * ((d + 1.0) ** 1.8 - 2.0 * d**1.8 + np.abs(d - 1.0) ** 1.8)
+    X = rng.standard_normal((239, 102)) @ np.linalg.cholesky(fgn).T
+    np.savetxt(os.path.join(directory, "fgn_p102.csv"), X, delimiter=",", fmt="%.17g")
 
 
 def run_tree(src: str, out_dir: str) -> None:
