@@ -114,19 +114,17 @@ def fit_banded_cholesky(X, k: int) -> BandedCholeskyFactors:
     Coordinate 1 gets the empty regression: zero coefficients and the
     sample variance of column 1.
 
-    Solved on the rows, by one order-recursive sweep that raises the
-    bandwidth of every regression a step at a time (sliding-window
-    Gram-Schmidt, :func:`_band_regressions`): no sample covariance and no
-    normal equations.  Requires k <= n - 2 so the largest regression stays
-    nondegenerate; SingularDesign when the package's Cholesky pivot rule
-    refuses a regressor Gram block or a residual variance is not positive.
+    Solved on the rows by one order-recursive sweep over the bandwidths
+    (:func:`_band_regressions`), with no normal equations.  Requires k <= n
+    - 2 so the largest regression stays nondegenerate; SingularDesign when a
+    regressor Gram block fails the package's Cholesky pivot rule or a
+    residual variance is not positive.
     """
-    X, ks = _cholesky_input(X, [k])
-    coef, D = _band_regressions(X, ks)
+    coef, D = _band_regressions(X, [k])
     rows, i = np.nonzero(coef[0])
-    A = np.zeros((X.shape[1], X.shape[1]))
+    A = np.zeros((D.shape[1], D.shape[1]))
     A[rows, rows - 1 - i] = coef[0, rows, i]
-    return BandedCholeskyFactors(k=int(ks[0]), A=A, D=D[0])
+    return BandedCholeskyFactors(k=int(k), A=A, D=D[0])
 
 
 def cholesky_covariance_path(X, ks):
@@ -134,13 +132,12 @@ def cholesky_covariance_path(X, ks):
     one p x p array per k in ks, from the (n, p) data matrix ``X`` (as in
     :func:`fit_banded_cholesky`).
 
-    X is validated and centred once, and every regression is solved, and
-    SingularDesign raised like the single fit, before this returns; the
-    estimates are then built in chunks of at most 1 MiB (or one estimate),
-    so memory is O(p^2), not O(len(ks) p^2).  A finished chunk is not kept:
-    dropped estimates are freed at once.
+    Every regression is solved, and SingularDesign raised like the single
+    fit, before this returns; the estimates are then built in chunks of at
+    most 1 MiB (or one estimate), so memory is O(p^2), not O(len(ks) p^2).
+    A finished chunk is not kept: dropped estimates are freed at once.
     """
-    coef, D = _band_regressions(*_cholesky_input(X, ks))
+    coef, D = _band_regressions(X, ks)
     step = max(1, _PATH_BYTES // (8 * D.shape[1] ** 2))
     return itertools.chain.from_iterable(
         _covariance_from_band(coef[i : i + step], D[i : i + step])
@@ -201,99 +198,69 @@ def save_data_csv(path, X) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cholesky_input(X, ks) -> tuple[np.ndarray, np.ndarray]:
-    """Validated data matrix and bandwidths of a Cholesky fit, 0 <= k <= n - 2."""
-    X = as_data_matrix(X)
-    ks, n = np.asarray(ks, dtype=int), X.shape[0]
+def _band_regressions(X, ks) -> tuple[np.ndarray, np.ndarray]:
+    """Band coefficients (len(ks), p, K) and residual variances (len(ks), p)
+    of the bandwidth-k regressions on the centred columns of the data matrix
+    X, for k in ks; X is validated and centred once, and 0 <= k <= n - 2.
+
+    Order-recursive least squares on the rows, a sliding-window Gram-Schmidt
+    (Levinson 1947; the lattice of Lee, Morf & Friedlander 1981).  After
+    stage m, f_j is column j's residual on its m nearest predecessors and
+    g_t column t's on its m successors.  Stage m takes every j >= m at once:
+    with Delta = <f_j, g_(j-m)>, f_j -= Delta / |g|^2 g_(j-m) and g_(j-m) -=
+    Delta / |f|^2 f_j (old f_j); the forward and backward coefficients
+    (nearest first) update against each other reversed and take the two
+    ratios as new last entries.  Columns j < m keep order j.  Squared norms
+    are sums of squares, never differences.  K = min(max ks, p - 1) stages,
+    O(n p K + p K^2) flops and O(p (n + K)) work memory.  |g_(j-m)|^2 / n is
+    the m-th pivot of the Gram block of column j's predecessors, nearest
+    first, so the package rule of :func:`~covband.matcore.cholesky_factor`
+    holds: SingularDesign, before any division, when it is below
+    PD_PIVOT_RTOL times the largest variance of those K predecessors, or a
+    residual variance is not positive.
+    """
+    X, ks = as_data_matrix(X), np.asarray(ks, dtype=int)
+    (n, p), K = X.shape, min(int(ks.max()), X.shape[1] - 1)
     if ks.min() < 0:
         raise ValueError("bandwidths must be >= 0")
     if ks.max() > n - 2:
         raise BandwidthTooLarge(f"bandwidth k={ks.max()} needs n >= k + 2 observations, got n={n}")
-    return X, ks
-
-
-def _band_regressions(X, ks) -> tuple[np.ndarray, np.ndarray]:
-    """Band coefficients (len(ks), p, K) and residual variances (len(ks), p)
-    of the bandwidth-k regressions on the centred columns of X, for k in ks.
-
-    Order-recursive least squares on the rows (Levinson 1947; the lattice of
-    Lee, Morf & Friedlander 1981), a sliding-window Gram-Schmidt.  After
-    stage m the forward residual f_j is column j's residual on its m nearest
-    predecessors, and the backward residual g_t column t's on its m
-    successors.  Stage m pairs f_j with g_(j-m), both residuals on columns
-    j - m + 1 .. j - 1, for every j >= m at once: with Delta = <f_j, g_(j-m)>,
-    f_j -= Delta / |g|^2 g_(j-m) and g_(j-m) -= Delta / |f|^2 f_j (old f_j).
-    The forward and backward coefficients (nearest first) follow the same
-    rule against each other reversed, and take the two ratios as their new
-    last entries.  Columns j < m keep order j.  Every squared norm is a sum
-    of squares, never a difference; the variances are these over n.  Each
-    stage writes the bandwidth-m rows of the output; K = min(max ks, p - 1)
-    stages take O(n p K + p K^2) flops and O(p (n + K)) work memory.
-
-    |g_(j-m)|^2 / n entering stage m is the m-th Cholesky pivot of the Gram
-    block of column j's predecessors, nearest first, so the package rule of
-    :func:`~covband.matcore.cholesky_factor` applies: SingularDesign unless
-    it is at least PD_PIVOT_RTOL times the largest variance of those K
-    predecessors (of all of them when a column has fewer).  A residual
-    variance that is not positive also raises SingularDesign.  Both are
-    tested before any division.
-    """
-    n, p = X.shape
-    K = min(int(ks.max()), p - 1)
     rows = [[] for _ in range(K + 1)]  # the output rows of each bandwidth
     for i, k in enumerate(ks):
         rows[min(k, K)].append(i)
-    # R[0, j] = f_j and R[1, t] = g_t, both starting from the centred column;
-    # Q their squared norms, C their coefficients (forward, backward).  The
-    # partners f_j and g_(j-m) sit m rows apart: one view per array pairs them
-    # (_pairs), and in a paired view q[::-1] holds each one's partner
+    # R[0, j] = f_j and R[1, t] = g_t, Q their squared norms, C their coefficients;
+    # f_j and g_(j-m) sit m rows apart, paired by one view (_pairs)
     R = np.empty((2, p, n))
     np.subtract(X.T, X.mean(axis=0)[:, None], out=R[0])
     R[1] = R[0]
     Q = row_dots(R, R)
-    coef, D = np.zeros((ks.size, p, K)), np.empty((ks.size, p))
-    D[rows[0]] = Q[0]
-    if K:
-        # tolerance of column j's pivots, from its predecessors j - K .. j - 1
-        tol = PD_PIVOT_RTOL * sliding_window_view(np.pad(Q[0, :-1], (K, 0)), K).max(axis=1)
-        if not (tol[1:] > 0).all():
-            raise SingularDesign("a regressor Gram block has no positive diagonal entry")
-        C, work, cwork = np.zeros((2, p, K)), np.empty((2, p, n)), np.empty((2, p, K))
-    for m in range(1, K + 1):
-        r, q, c = (_pairs(M, m) for M in (R, Q, C))
-        if not (q[1] >= tol[m:]).all():
-            j = m + int(np.argmin(q[1] >= tol[m:]))
-            raise SingularDesign(f"pivot {m} of the Gram block of coordinate {j + 1}, "
-                                 f"{q[1, j - m] / n:.3e}, is below tolerance {tol[j] / n:.3e}")
-        if not (q[0] > 0).all():
-            raise _not_positive(q[0], m)
-        kappa = row_dots(r[0], r[1]) / q[::-1]  # Delta / |g|^2, Delta / |f|^2
-        w, cw = work[:, : p - m], cwork[:, : p - m, : m - 1]
-        r -= np.multiply(r[::-1], kappa[..., None], out=w)
-        q[...] = row_dots(r, r)
-        c[..., : m - 1] -= np.multiply(c[::-1, :, : m - 1][..., ::-1], kappa[..., None], out=cw)
-        c[..., m - 1] = kappa
+    tol = PD_PIVOT_RTOL * sliding_window_view(np.pad(Q[0], (K, 0)), K + 1)[:, :K].max(
+        axis=1, initial=0.0)  # of column j, from its predecessors j - K .. j - 1
+    coef, D, C = np.zeros((ks.size, p, K)), np.empty((ks.size, p)), np.zeros((2, p, K))
+    for m in range(K + 1):
+        if m:
+            r, q, c = (_pairs(M, m) for M in (R, Q, C))
+            if not (q[1] >= tol[m:]).all():
+                j = m + int(np.argmin(q[1] >= tol[m:]))
+                raise SingularDesign(f"coordinate {j + 1}: pivot {m} below tolerance")
+            kappa = row_dots(r[0], r[1]) / q[::-1]  # Delta / |g|^2, Delta / |f|^2
+            r -= r[::-1] * kappa[..., None]
+            q[...] = row_dots(r, r)
+            c[..., : m - 1] -= c[::-1, :, : m - 1][..., ::-1] * kappa[..., None]
+            c[..., m - 1] = kappa
+        if K and not (Q[0] > 0).all():
+            j = int(np.argmin(Q[0] > 0))
+            raise SingularDesign(f"coordinate {j + 1}: residual variance {Q[0, j] / n} <= 0")
         for i in rows[m]:
             coef[i], D[i] = C[0], Q[0]
-    if K and not (Q[0] > 0).all():
-        raise _not_positive(Q[0], 0)
     return coef, np.divide(D, n, out=D)
 
 
 def _pairs(M, m) -> np.ndarray:
-    """The view of a C-contiguous (2, p, ...) array M whose [0] is M[0, m:]
-    and whose [1] is M[1, :p - m]: row i pairs column m + i with column i."""
+    """The view of a C-contiguous (2, p, ...) M whose row i pairs M[0, m + i] with M[1, i]."""
     shape = (2, M.shape[1] - m, *M.shape[2:])
     strides = (M.strides[0] - m * M.strides[1], *M.strides[1:])
     return np.ndarray(shape, M.dtype, M, m * M.strides[1], strides)
-
-
-def _not_positive(norms, first) -> SingularDesign:
-    """The SingularDesign for squared residual norms of columns first,
-    first + 1, ..., not all positive."""
-    j = first + int(np.argmin(norms > 0))
-    return SingularDesign(f"residual variance of coordinate {j + 1} is not positive "
-                          "(exactly collinear columns)")
 
 
 def _tril_inverse(L, out=None) -> np.ndarray:

@@ -326,10 +326,8 @@ def _dense_curve(p, ks, estimator_kind, norm):
 
     def curve(fit, target):  # all rows, each into one new array (out=None would make two)
         T = target(slice(None), np.empty((p, p)))
-        if estimator_kind == "banded":
-            estimates = band_path(fit(slice(None), np.empty((p, p))), ks)
-        else:
-            estimates = cholesky_covariance_path(fit.X, ks)
+        estimates = (band_path(fit(slice(None), np.empty((p, p))), ks)
+                     if estimator_kind == "banded" else cholesky_covariance_path(fit.X, ks))
 
         def loss(E):  # E is a fresh array, so it can hold its own difference
             D = np.subtract(E, T, out=E)
@@ -547,7 +545,7 @@ def _operator_band_curve(p, ks):
             # one BLAS dot per row pays off from 64 columns on (p = 1000, k <= 99:
             # 0.87 s per split against 0.97 s for einsum), einsum below it
             out = row_dots(windows, ops) if ops.shape[2] > 64 else np.einsum("itw,itw->it",
-                                                                               windows, ops)
+                                                                              windows, ops)
             out -= target.apply(V)
             return out
 
