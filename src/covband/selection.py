@@ -303,7 +303,7 @@ def _split_loss_curve(p, ks, estimator_kind, norm):
     with 2k + 1 <= p / 2 matrix free (:func:`_operator_band_curve`, T as a
     product), in lockstep groups.  Every other bandwidth and curve takes all
     rows of T and one estimate per bandwidth, from ``band_path`` of all rows
-    of S or from ``cholesky_covariance_path`` of the split rows, its loss
+    of S or from ``cholesky_covariance_path`` of the centred rows, its loss
     taken alone (:func:`_dense_curve`).  Callers run it on one BLAS thread,
     every Gram product included.
     """
@@ -322,12 +322,12 @@ def _split_loss_curve(p, ks, estimator_kind, norm):
 def _dense_curve(p, ks, estimator_kind, norm):
     """The function (fit, target) -> ||E_k - T|| over the estimates E_k of
     the given kind, from all rows of T, one estimate at a time: banded from
-    all rows of S, Cholesky from the split rows of ``fit``."""
+    all rows of S, Cholesky from the centred rows of ``fit``."""
 
     def curve(fit, target):  # all rows, each into one new array (out=None would make two)
         T = target(slice(None), np.empty((p, p)))
         estimates = (band_path(fit(slice(None), np.empty((p, p))), ks)
-                     if estimator_kind == "banded" else cholesky_covariance_path(fit.X, ks))
+                     if estimator_kind == "banded" else cholesky_covariance_path(fit.A, ks))
 
         def loss(E):  # E is a fresh array, so it can hold its own difference
             D = np.subtract(E, T, out=E)
@@ -344,10 +344,9 @@ class _Gram:
     formed whole.  Called as ``(J, out)`` it writes rows J of S into ``out``
     as A[:, J].T @ A / n (for all rows numpy runs one ``syrk``, the bytes of
     ``sample_covariance(X)``); ``apply(V)`` is the stack of products S v for
-    the rows v of V, (V A') A / n.  ``X`` itself feeds the Cholesky fit."""
+    the rows v of V, (V A') A / n; the rows of A feed the Cholesky fit."""
 
     def __init__(self, X):
-        self.X = X
         self.A = X - X.mean(axis=0)
 
     def __call__(self, J, out):
