@@ -39,21 +39,19 @@ TAPER_FAMILIES = ("banding-indicator", "triangular", "exponential")
 NORMS = ("operator", "one_one", "max_abs", "frobenius")
 
 
-def require_symmetric(M, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
-    """Validate that ``M`` is a finite, exactly symmetric square array.
+def require_symmetric(M, name: str = "matrix") -> np.ndarray:
+    """Validate that ``M`` is a finite, exactly symmetric square 2-D array.
 
-    With ``stack=True`` a stack of shape (..., p, p) is accepted and every
-    matrix in it is checked.  Returns the validated array as float64 without
-    copying when possible.
+    Returns the validated array as float64 without copying when possible.
     """
     A = np.asarray(M, dtype=float)
-    if A.ndim < 2 or (A.ndim > 2 and not stack) or A.shape[-1] != A.shape[-2]:
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
-    if A.shape[-1] < 1:
+    if A.shape[0] < 1:
         raise ValueError(f"{name} must have dimension >= 1")
     if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} has non-finite entries")
-    if not np.array_equal(A, np.swapaxes(A, -1, -2)):
+    if not np.array_equal(A, A.T):
         raise ValueError(f"{name} is not symmetric")
     return A
 
@@ -216,30 +214,24 @@ def sym_eigen(M) -> EigenDecomposition:
 def cholesky_factor(M) -> np.ndarray:
     """Lower-triangular L with ``M = L @ L.T`` and strictly positive diagonal.
 
-    ``M`` is one symmetric matrix or a stack (..., p, p) of them, factored
-    by LAPACK in one call.  Raises :class:`NotPositiveDefinite` when LAPACK
-    breaks down or any pivot ``L[j, j]**2`` drops below
-    ``PD_PIVOT_RTOL * max(diag)`` of its own matrix; Cholesky success is
-    this package's positive-definiteness test.
+    Raises :class:`NotPositiveDefinite` when LAPACK breaks down or any pivot
+    ``L[j, j]**2`` drops below ``PD_PIVOT_RTOL * max(diag(M))``; Cholesky
+    success is this package's positive-definiteness test.
     """
-    A = require_symmetric(M, stack=True)
-    max_diag = np.diagonal(A, axis1=-2, axis2=-1).max(axis=-1)
-    if np.any(max_diag <= 0.0):
+    A = require_symmetric(M)
+    max_diag = A.diagonal().max()
+    if max_diag <= 0.0:
         raise NotPositiveDefinite("matrix has no positive diagonal entry")
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("matrix is not positive definite (Cholesky breakdown)") from None
     tol = PD_PIVOT_RTOL * max_diag
-    pivots = np.diagonal(L, axis1=-2, axis2=-1) ** 2
-    low = pivots < tol[..., None]
-    if np.any(low):
-        *block, j = np.argwhere(low)[0]
-        where = f"matrix {tuple(int(b) for b in block)}, " if block else ""
-        raise NotPositiveDefinite(
-            f"pivot {pivots[tuple(block) + (j,)]:.3e} at {where}column {j} "
-            f"below tolerance {tol[tuple(block)]:.3e}"
-        )
+    pivots = L.diagonal() ** 2
+    low = np.flatnonzero(pivots < tol)
+    if low.size:
+        j = low[0]
+        raise NotPositiveDefinite(f"pivot {pivots[j]:.3e} at column {j} below tolerance {tol:.3e}")
     return L
 
 

@@ -5,11 +5,13 @@ random into groups of size n1 and n2, fitting the regularized estimator on
 group 1, measuring its distance to the plain sample covariance of group 2,
 averaging over splits, and minimizing over the bandwidth grid
 (:func:`estimate_risk` / :func:`select_k`).  In the operator norm each
-loss is a Lanczos iteration from the same fixed start vector.  Narrow
-bands (2k + 1 <= p / 2) advance together through one iteration, in groups
-sized by a fixed byte budget, and never form a p x p matrix (S1 is held in
-band storage, S2 applied as a low-rank product); wider bands and the
-Cholesky estimates each take a dense difference, one at a time.
+loss is a three-term Lanczos iteration from the same fixed start vector.
+Narrow bands (2k + 1 <= p / 2) advance together through one iteration and
+never form a p x p matrix (S1 is held in band storage, S2 applied as a
+low-rank product); a group holds one band-storage copy and two Lanczos
+vectors per band, 5 bands at p = 400, k <= 29 and 1 at p = 1000, k <= 99.
+Wider bands and the Cholesky estimates each take a dense difference, one
+at a time.
 ``numpy.linalg.eigvalsh`` is the answer for small matrices and for an
 iteration that does not converge.
 
@@ -389,12 +391,12 @@ _LANCZOS_FIRST_TEST = 24
 _LANCZOS_TEST_EVERY = 8
 _RITZ_RTOL = 1e-13
 _BREAKDOWN_RTOL = 1e-13
-# Bytes that one group of narrow bands may hold: each one's Lanczos basis
-# at the step cap plus its band storage.  5 bands at p = 400, k <= 29
-# (select-operator-p400 then peaks 1.7 MB lower in RSS than the old one
-# dense difference at a time; 8 per group: 0.2 MB lower), 1 at p = 1000,
-# k <= 99.
-_LANCZOS_GROUP_BYTES = 4 * 2**20
+# Bytes of the band storage that one group of narrow bands may hold, one
+# copy per operator charged at the grid's widest band (its Lanczos vectors
+# are a few p-vectors): 5 bands at p = 400, k <= 29 (select-operator-p400 then
+# peaked 1.7 MB lower in RSS than one dense difference at a time; 8 per
+# group: 0.2 MB lower), 1 at p = 1000, k <= 99.
+_LANCZOS_GROUP_BYTES = 2**20
 # Bytes of the row block that band storage is read in.  Small: with 1 MiB
 # blocks select-operator-p400 peaked 1.2 MB higher in RSS.
 _BAND_READ_BYTES = 2**16
@@ -413,46 +415,46 @@ def _lanczos_norms(ops, apply, dense, p):
     product per operator, as for dense differences) an operator's value
     does not depend on its group, bit for bit.
 
-    Lanczos with full reorthogonalization (Lanczos 1950; Paige 1972) from
-    one fixed pseudo-random start vector per dimension, so each value is a
-    function of its operator alone.  The start is never ``ones``: the
-    Toeplitz truths have skew-symmetric eigenvectors, which are orthogonal
-    to it.  Convergence is tested on both extreme Ritz values theta_min and
-    theta_max of the tridiagonal T, with top = max |theta|.  Each lies
-    within its residual r = beta_m |s_m| of an eigenvalue of the operator
-    (Parlett, *The Symmetric Eigenvalue Problem*).  The end that gives top
-    must have r <= ``_RITZ_RTOL`` * top.  The other end only needs r <= top
-    - |theta|, so that its eigenvalue cannot exceed top; a test of the top
-    end alone could stop at lambda_max = 10 when lambda_min is -10.5.  The
-    quadratic bound r**2 / gap is not used: the gap to the neighbouring Ritz
-    value overstates the true gap while a close pair of extreme eigenvalues
-    is still unresolved.  A beta below ``_BREAKDOWN_RTOL`` times the largest
-    |alpha| or beta seen means the Krylov space is invariant, and its Ritz
-    values are exact.  Finished operators leave the group at the tests,
-    where the basis also grows by ``_LANCZOS_TEST_EVERY`` steps.  Small
-    operators and those that reach the step cap get the ``eigvalsh`` value
-    of ``dense(op)`` instead.  Its callers run it on one BLAS thread, which
-    at p=400 does these products as fast as two.
+    The three-term Lanczos recurrence (Lanczos 1950) beta_j q_{j+1} = A q_j
+    - alpha_j q_j - beta_{j-1} q_{j-1}, from one fixed pseudo-random start
+    vector per dimension, so each value is a function of its operator alone;
+    an operator carries only q_j and q_{j-1}.  Nothing is reorthogonalized:
+    in floating point the q_j lose orthogonality only as Ritz values
+    converge, which adds copies of those values and leaves each within its
+    residual of an eigenvalue (Paige, *Lin. Alg. Appl.* 34, 1980).  The
+    start is never ``ones``: the Toeplitz truths have skew-symmetric
+    eigenvectors, which are orthogonal to it.  Convergence is tested on both
+    extreme Ritz values theta_min and theta_max of the tridiagonal T, with
+    top = max |theta|.  Each lies within its residual r = beta_m |s_m| of an
+    eigenvalue of the operator (Parlett, *The Symmetric Eigenvalue Problem*,
+    ch. 13).  The end that gives top must have r <= ``_RITZ_RTOL`` * top.
+    The other end only needs r <= top - |theta|, so that its eigenvalue
+    cannot exceed top; a test of the top end alone could stop at lambda_max
+    = 10 when lambda_min is -10.5.  The quadratic bound r**2 / gap is not
+    used: the gap to the neighbouring Ritz value overstates the true gap
+    while a close pair of extreme eigenvalues is still unresolved.  A beta
+    below ``_BREAKDOWN_RTOL`` times the largest |alpha| or beta seen means
+    the Krylov space is invariant, and its Ritz values are exact.  Finished
+    operators leave the group at the tests; small operators and those that
+    reach the step cap get the ``eigvalsh`` value of ``dense(op)`` instead.
+    Its callers run it on one BLAS thread, which at p=400 does these
+    products as fast as two.
     """
     if p < _LANCZOS_MIN_P:
         return np.array([matrix_norm(dense(op), "operator") for op in ops])
     m_max = min(p, _LANCZOS_MAX_STEPS)
     norms = np.empty(len(ops))
     live = np.arange(len(ops))  # group positions of the unfinished operators
-    Q = np.empty((len(ops), min(m_max, _LANCZOS_FIRST_TEST) + 1, p))
     start = np.random.default_rng(p).standard_normal(p)
-    Q[:, 0] = start / np.sqrt(start @ start)
+    q = np.tile(start / np.sqrt(start @ start), (len(ops), 1))
     alpha, beta = np.empty((2, len(ops), m_max))
     scale = np.zeros(len(ops))  # largest |alpha| or beta so far, a lower bound on the norm
     for j in range(m_max):
-        q = Q[:, j]
         w = apply(q, ops)
         a = alpha[:, j] = row_dots(q, w)
         w -= a[:, None] * q
         if j:
-            w -= beta[:, j - 1, None] * Q[:, j - 1]
-        basis = Q[:, : j + 1]
-        w -= np.matmul(np.matmul(basis, w[:, :, None]).transpose(0, 2, 1), basis)[:, 0]
+            w -= beta[:, j - 1, None] * q_prev
         b = beta[:, j] = np.sqrt(row_dots(w, w))
         np.maximum(scale, np.maximum(np.abs(a), b), out=scale)
         m = j + 1
@@ -476,12 +478,9 @@ def _lanczos_norms(ops, apply, dense, p):
             if done.all():
                 return norms
             keep = ~done
-            live, w, alpha, beta, scale = (x[keep] for x in (live, w, alpha, beta, scale))
-            ops, Q = _kept_rows(ops, keep), _kept_rows(Q, keep)
-        if test:  # the basis grows to the next test
-            steps = min(m_max, m + _LANCZOS_TEST_EVERY) + 1 - m
-            Q = np.concatenate([Q[:, :m], np.empty((live.size, steps, p))], axis=1)
-        np.divide(w, beta[:, j, None], out=Q[:, m])
+            live, q, w, alpha, beta, scale = (x[keep] for x in (live, q, w, alpha, beta, scale))
+            ops = _kept_rows(ops, keep)
+        q_prev, q = q, np.divide(w, beta[:, j, None], out=w)
     for i, op in zip(live, ops):
         norms[i] = matrix_norm(dense(op), "operator")
     return norms
@@ -516,7 +515,7 @@ def _operator_band_curve(p, ks):
     K = int(ks[-1])
     width = 2 * K + 1
     distance = np.abs(np.arange(-K, K + 1))
-    size = max(1, _LANCZOS_GROUP_BYTES // (8 * p * (min(p, _LANCZOS_MAX_STEPS) + 1 + width)))
+    size = max(1, _LANCZOS_GROUP_BYTES // (8 * p * width))
     b = min(p, max(1, _BAND_READ_BYTES // (8 * (p + 2 * K))))
 
     def curve(fit, target):

@@ -56,6 +56,10 @@ COMMANDS = [
     ("select-operator-p400", ["select", "--data", f"{INPUTS}/ar1_p400.csv", "--N", "10",
                               "--norm", "operator", "--k-max", "29", "--seed", "3",
                               "--out", "curve.csv"]),
+    # p = 1000, k <= 99: every lockstep group of narrow bands holds one band
+    ("select-operator-p1000", ["select", "--data", f"{INPUTS}/ma1_p1000.csv", "--norm",
+                               "operator", "--k-max", "99", "--N", "2", "--seed", "3",
+                               "--out", "curve.csv"]),
     ("select-cholesky", ["select", "--data", f"{INPUTS}/walk_p102.csv", "--estimator",
                          "cholesky", "--N", "10", "--seed", "3", "--out", "curve.csv"]),
     # p = 200: the Cholesky estimates take the Lanczos operator norm
@@ -139,6 +143,10 @@ def write_inputs(directory: str) -> None:
     fgn = 0.5 * ((d + 1.0) ** 1.8 - 2.0 * d**1.8 + np.abs(d - 1.0) ** 1.8)
     X = rng.standard_normal((239, 102)) @ np.linalg.cholesky(fgn).T
     np.savetxt(os.path.join(directory, "fgn_p102.csv"), X, delimiter=",", fmt="%.17g")
+    # drawn after that: 100 rows of an MA(1) series, theta = 0.5, along 1000 coordinates
+    Z = rng.standard_normal((100, 1001))
+    np.savetxt(os.path.join(directory, "ma1_p1000.csv"), Z[:, 1:] + 0.5 * Z[:, :-1],
+               delimiter=",", fmt="%.17g")
 
 
 def run_tree(src: str, out_dir: str) -> None:
