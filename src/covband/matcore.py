@@ -66,11 +66,11 @@ def band(M, k: int) -> np.ndarray:
     """Zero out all entries farther than ``k`` from the diagonal.
 
     ``k >= p - 1`` is legal and returns a copy of ``M`` unchanged;
-    ``k = 0`` keeps only the diagonal.
+    ``k = 0`` keeps only the diagonal.  An integral float such as 2.0 is
+    accepted; a fractional one raises ValueError.
     """
-    k = int(k)
-    if k < 0:
-        raise ValueError("bandwidth k must be >= 0")
+    if not float(k).is_integer() or k < 0:
+        raise ValueError(f"bandwidth k must be a nonnegative integer, got {k!r}")
     return next(band_path(require_symmetric(M), [k]))
 
 

@@ -6,12 +6,11 @@ group 1, measuring its distance to the plain sample covariance of group 2,
 averaging over splits, and minimizing over the bandwidth grid
 (:func:`estimate_risk` / :func:`select_k`).  In the operator norm each
 loss is a three-term Lanczos iteration from the same fixed start vector.
-Narrow bands (2k + 1 <= p / 2) advance together through one iteration and
-never form a p x p matrix (S1 is held in band storage, S2 applied as a
-low-rank product); a group holds one band-storage copy and two Lanczos
-vectors per band, 5 bands at p = 400, k <= 29 and 1 at p = 1000, k <= 99.
-Wider bands and the Cholesky estimates each take a dense difference, one
-at a time.
+Narrow bands (2k + 1 <= p / 2) advance together, 16 consecutive bandwidths
+at a time, and never form a p x p matrix: S1 is held in one band storage
+built from the split rows, S2 applied as a low-rank product, and each band
+carries two Lanczos vectors.  Wider bands and the Cholesky estimates each
+take a dense difference, one at a time.
 ``numpy.linalg.eigvalsh`` is the answer for small matrices and for an
 iteration that does not converge.
 
@@ -28,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import BandwidthTooLarge, DataFormatError, InsufficientData
 from .estimators import as_data_matrix, cholesky_covariance_path
@@ -161,8 +160,8 @@ def estimate_risk(
     total = np.zeros(ks.size)
     split_loss_curve = _split_loss_curve(p, ks, estimator_kind, norm)
     # Every curve runs on one BLAS thread, each Gram product of the split
-    # data included (all rows at once, row blocks, or the low-rank products
-    # of the operator-norm curve):
+    # data included (all rows at once, row blocks, band storage, or the
+    # low-rank products of the operator-norm curve):
     # a second thread does not speed up those products, and after each
     # threaded one an idle OpenBLAS thread spins for about 0.1 s, which
     # doubled the CPU time of the banded (1,1) and operator-norm curves.
@@ -345,14 +344,26 @@ class _Gram:
     """The sample covariance S = A'A / n of the data X, A centred, never
     formed whole.  Called as ``(J, out)`` it writes rows J of S into ``out``
     as A[:, J].T @ A / n (for all rows numpy runs one ``syrk``, the bytes of
-    ``sample_covariance(X)``); ``apply(V)`` is the stack of products S v for
-    the rows v of V, (V A') A / n; the rows of A feed the Cholesky fit."""
+    ``sample_covariance(X)``); ``band(K)`` is S in band storage;
+    ``apply(V)`` is the stack of products S v for the rows v of V, (V A') A
+    / n; the rows of A feed the Cholesky fit."""
 
     def __init__(self, X):
         self.A = X - X.mean(axis=0)
 
     def __call__(self, J, out):
         return np.divide(np.matmul(self.A[:, J].T, self.A, out=out), len(self.A), out=out)
+
+    def band(self, K):
+        """The p x (2K + 1) array whose row j is S[j, j - K .. j + K], zero
+        past the matrix edge (band storage: Golub & Van Loan, *Matrix
+        Computations*, 4.3): one batched product of each column of A with
+        the window of 2K + 1 columns around it, A' zero-padded by K rows."""
+        n, p = self.A.shape
+        padded = np.zeros((p + 2 * K, n))
+        padded[K: K + p] = self.A.T
+        out = np.matmul(padded[K: K + p, None], sliding_window_view(padded, 2 * K + 1, axis=0))
+        return np.divide(out[:, 0], n, out=out[:, 0])
 
     def apply(self, V):
         out = (V @ self.A.T) @ self.A
@@ -391,25 +402,18 @@ _LANCZOS_FIRST_TEST = 24
 _LANCZOS_TEST_EVERY = 8
 _RITZ_RTOL = 1e-13
 _BREAKDOWN_RTOL = 1e-13
-# Bytes of the band storage that one group of narrow bands may hold, one
-# copy per operator charged at the grid's widest band (its Lanczos vectors
-# are a few p-vectors): 5 bands at p = 400, k <= 29 (select-operator-p400 then
-# peaked 1.7 MB lower in RSS than one dense difference at a time; 8 per
-# group: 0.2 MB lower), 1 at p = 1000, k <= 99.
-_LANCZOS_GROUP_BYTES = 2**20
-# Bytes of the row block that band storage is read in.  Small: with 1 MiB
-# blocks select-operator-p400 peaked 1.2 MB higher in RSS.
-_BAND_READ_BYTES = 2**16
+# Consecutive narrow bandwidths that advance through one Lanczos iteration
+_LANCZOS_GROUP = 16
 
 
 def _lanczos_norms(ops, apply, dense, p):
     """max |eigenvalue| of each symmetric p x p operator of a group, by
     Lanczos iterations that advance in lockstep.
 
-    ``ops`` is an array whose first axis runs over the operators, and is
-    overwritten (the unfinished ones move to its front), ``apply(V, ops)``
-    a new array whose row i is operator i applied to V[i],
-    and ``dense(op)`` the p x p array of one operator.  Each step is one
+    ``ops`` labels the operators along its first axis (a group's
+    bandwidths, or a stack of dense differences), ``apply(V, ops)`` is a
+    new array whose row i is operator ``ops[i]`` applied to V[i], and
+    ``dense(op)`` the p x p array of one operator.  Each step is one
     call of ``apply`` and a few batched numpy calls for the whole group.
     Its own arithmetic is row by row, so with an ``apply`` that is too (one
     product per operator, as for dense differences) an operator's value
@@ -435,8 +439,9 @@ def _lanczos_norms(ops, apply, dense, p):
     while a close pair of extreme eigenvalues is still unresolved.  A beta
     below ``_BREAKDOWN_RTOL`` times the largest |alpha| or beta seen means
     the Krylov space is invariant, and its Ritz values are exact.  Finished
-    operators leave the group at the tests; small operators and those that
-    reach the step cap get the ``eigvalsh`` value of ``dense(op)`` instead.
+    operators leave the group at the tests (the only copies of ``ops``, so a
+    lone operator is never copied); small operators and those that reach
+    the step cap get the ``eigvalsh`` value of ``dense(op)`` instead.
     Its callers run it on one BLAS thread, which at p=400 does these
     products as fast as two.
     """
@@ -477,22 +482,13 @@ def _lanczos_norms(ops, apply, dense, p):
             norms[live[done]] = top[done[at]]
             if done.all():
                 return norms
-            keep = ~done
-            live, q, w, alpha, beta, scale = (x[keep] for x in (live, q, w, alpha, beta, scale))
-            ops = _kept_rows(ops, keep)
+            if done.any():
+                live, q, w, alpha, beta, scale, ops = (
+                    x[~done] for x in (live, q, w, alpha, beta, scale, ops))
         q_prev, q = q, np.divide(w, beta[:, j, None], out=w)
     for i, op in zip(live, ops):
         norms[i] = matrix_norm(dense(op), "operator")
     return norms
-
-
-def _kept_rows(x, keep):
-    """x[keep] without a copy: the kept rows move to the front of x, in order."""
-    kept = np.flatnonzero(keep)
-    for dst, src in enumerate(kept):
-        if dst != src:
-            x[dst] = x[src]
-    return x[: kept.size]
 
 
 def _operator_band_curve(p, ks):
@@ -500,68 +496,44 @@ def _operator_band_curve(p, ks):
     (all below p - 1), by :func:`_lanczos_norms` on the maps v -> B_k(S) v
     - T v.
 
-    S is held in band storage (Golub & Van Loan, *Matrix Computations*,
-    4.3): row j holds S[j, j - K .. j + K], zero past the matrix edge, for K
-    = max k, and is read from ``fit`` in row blocks, so S is never formed
-    whole.  B_k(S) v is then a row-wise product with a strided window of v
-    zero-padded by K, and T v comes from ``target.apply`` (low rank for a
-    split part).  The bandwidths run in groups of consecutive k, as many as
-    fit ``_LANCZOS_GROUP_BYTES``; a group keeps its own band storage, zero
-    beyond each operator's k, cut to the group's widest band.  Its products
-    run batched, so a value can move in the last bits with the width and
-    size of its group.  ``eigvalsh`` needs the dense B_k(S) - T, which is
-    built for that operator alone.
+    S is taken once per split as ``fit.band(K)``, K = max k, straight from
+    the split rows, so S is never formed whole.  B_k(S) v is the row-wise
+    product of the middle 2k + 1 columns of that storage with a strided
+    window of v zero-padded by K, one ``row_dots`` call per operator, and T
+    v comes from ``target.apply`` (low rank for a split part), one batched
+    product per group of ``_LANCZOS_GROUP`` consecutive bandwidths, so a
+    value can move in the last bits with its group.  ``eigvalsh`` needs the
+    dense B_k(S) - T, which is built from all rows of S for that operator
+    alone.
     """
     K = int(ks[-1])
-    width = 2 * K + 1
-    distance = np.abs(np.arange(-K, K + 1))
-    size = max(1, _LANCZOS_GROUP_BYTES // (8 * p * width))
-    b = min(p, max(1, _BAND_READ_BYTES // (8 * (p + 2 * K))))
 
     def curve(fit, target):
-        buf, S = np.zeros((b, p + 2 * K)), np.empty((p, width))
-        for j0 in range(0, p, b):
-            bt = min(b, p - j0)
-            fit(slice(j0, j0 + bt), buf[:bt, K: K + p])
-            S[j0: j0 + bt] = _diagonal_windows(buf[:, j0:], bt, width)
-        del buf
+        S = fit.band(K)
+        padded = np.zeros((_LANCZOS_GROUP, p + 2 * K))  # row i holds V[i] after K zeros
+        windows = sliding_window_view(padded, 2 * K + 1, axis=1)  # [i, t] = V[i, t - K .. t + K]
 
-        def dense(op):  # B_k(S) - T for one operator that reached the step cap
-            half = op.shape[1] // 2
-            E = np.zeros((p, p + 2 * half))
-            _diagonal_windows(E, p, op.shape[1], writeable=True)[...] = op
-            return E[:, half: half + p] - target(slice(None), np.empty((p, p)))
+        def dense(k):  # B_k(S) - T for one operator that reached the step cap
+            E = next(band_path(fit(slice(None), np.empty((p, p))), [k]))
+            return E - target(slice(None), np.empty((p, p)))
 
-        def products(V, ops):
-            half = ops.shape[2] // 2
-            padded = np.zeros((len(V), p + 2 * half))
-            padded[:, half: half + p] = V
-            # row t of window i is padded[i, t : t + width]; np.ndarray, as as_strided
-            # costs 15 us a call
-            step = padded.strides[1]
-            windows = np.ndarray(ops.shape, buffer=padded, strides=(padded.strides[0], step, step))
-            # one BLAS dot per row pays off from 64 columns on (p = 1000, k <= 99:
-            # 0.87 s per split against 0.97 s for einsum), einsum below it
-            out = row_dots(windows, ops) if ops.shape[2] > 64 else np.einsum("itw,itw->it",
-                                                                              windows, ops)
+        def products(V, kg):
+            padded[: len(V), K: K + p] = V
+            out = np.empty_like(V)
+            for i, k in enumerate(kg):
+                out[i] = row_dots(windows[i, :, K - k: K + k + 1], S[:, K - k: K + k + 1])
             out -= target.apply(V)
             return out
 
-        losses = np.empty(ks.size)
-        for g in range(0, ks.size, size):
-            kg = ks[g: g + size]
-            cut = slice(K - kg[-1], K + kg[-1] + 1)
-            ops = np.where(distance[cut] <= kg[:, None, None], S[:, cut], 0.0)
-            losses[g: g + size] = _lanczos_norms(ops, products, dense, p)
-            del ops  # before the next group's copy is made
-        return losses
+        return np.concatenate([_lanczos_norms(ks[g: g + _LANCZOS_GROUP], products, dense, p)
+                               for g in range(0, ks.size, _LANCZOS_GROUP)])
     return curve
 
 
-def _diagonal_windows(M, rows, width, writeable=False):
+def _diagonal_windows(M, rows, width):
     """The view whose row t is M[t, t : t + width]."""
     r, c = M.strides
-    return as_strided(M, (rows, width), (r + c, c), writeable=writeable)
+    return as_strided(M, (rows, width), (r + c, c), writeable=False)
 
 
 # Bytes of the (1,1) curve's Delta buffer, which set its row block: b = 65
@@ -616,6 +588,8 @@ def _one_one_band_curve(p, ks):
 def _check_k_grid(k_grid, p, kind, n_fit, fit_name) -> np.ndarray:
     """``k_grid`` checked, or the default grid; cholesky needs k <= n_fit - 2."""
     ks = default_k_grid(p, kind, n_fit) if k_grid is None else np.asarray(k_grid, dtype=int)
+    if k_grid is not None and not np.array_equal(ks, k_grid):
+        raise ValueError(f"k_grid must hold integers, got {k_grid!r}")
     if ks.ndim != 1 or ks.size == 0:
         raise ValueError("k_grid must be a nonempty 1-D integer sequence")
     if ks[0] < 0 or np.any(np.diff(ks) <= 0):

@@ -101,6 +101,14 @@ def test_band_rejects_negative_k():
         band(np.eye(3), -1)
 
 
+def test_band_rejects_a_fractional_k_and_takes_an_integral_float():
+    M = symmetrize(np.arange(9.0).reshape(3, 3))
+    for k in (1.5, 0.5, float("nan")):
+        with pytest.raises(ValueError):
+            band(M, k)
+    assert_array_equal(band(M, 1.0), band(M, 1))
+
+
 def test_band_idempotent_and_composes_by_minimum():
     # exact equalities, checked over many random instances
     rng = np.random.default_rng(3)

@@ -211,6 +211,14 @@ def test_cholesky_grid_capped_by_split_size():
     assert curve.k_grid[-1] == 2
 
 
+def test_fractional_bandwidths_rejected():
+    X = np.random.default_rng(5).standard_normal((12, 8))
+    with pytest.raises(ValueError, match="integers"):
+        estimate_risk(X, k_grid=[0, 2.7, 5.9], N=1, seed=0)
+    curve = estimate_risk(X, k_grid=[0, 2.0, 5.0], N=1, seed=0)
+    assert_array_equal(curve.risk, estimate_risk(X, k_grid=[0, 2, 5], N=1, seed=0).risk)
+
+
 def test_operator_norm_risk_runs():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((16, 5))
@@ -387,10 +395,10 @@ def test_banded_one_one_curve_runs_on_one_blas_thread():
 
 
 def test_lanczos_curves_run_every_product_on_one_blas_thread():
-    # p = 200 reaches Lanczos: band storage read in row blocks and the
-    # products S2 v of the narrow bands, the dense truth's products of the
-    # oracle, the dense differences of the wide bands and of the cholesky
-    # curve: every one on one thread
+    # p = 200 reaches Lanczos: the band storage of S1 and the products S2 v
+    # of the narrow bands, the dense truth's products of the oracle, the rows
+    # and the dense differences of the wide bands and of the cholesky curve:
+    # every one on one thread
     from covband import selection
     from covband.matcore import _openblas_threads
 
@@ -398,12 +406,16 @@ def test_lanczos_curves_run_every_product_on_one_blas_thread():
     if threads is None:
         pytest.skip("numpy is not linked against OpenBLAS")
     get, set_ = threads
-    seen = {"rows": [], "S v": [], "D v": [], "dense differences": []}
+    seen = {"rows": [], "band": [], "S v": [], "D v": [], "dense differences": []}
 
     class Gram(_Gram):
         def __call__(self, J, out):
             seen["rows"].append(get())
             return super().__call__(J, out)
+
+        def band(self, K):
+            seen["band"].append(get())
+            return super().band(K)
 
         def apply(self, V):
             seen["S v"].append(get())
@@ -433,7 +445,11 @@ def test_lanczos_curves_run_every_product_on_one_blas_thread():
     finally:
         set_(before)
     assert {kind: set(counts) for kind, counts in seen.items()} == {kind: {1} for kind in seen}
-    assert min(map(len, seen.values())) > 20
+    # all rows of both parts for the wide bands, of the Cholesky target and
+    # of the oracle's sample for its wide band; band storage once per split
+    # and once for the oracle; one product per Lanczos step
+    assert (len(seen["rows"]), len(seen["band"])) == (2 * 2 + 1 + 1, 2 + 1)
+    assert min(len(seen[kind]) for kind in ("S v", "D v", "dense differences")) > 20
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +519,37 @@ def test_gram_rows_of_all_rows_are_the_sample_covariance():
     # starts from the bytes of sample_covariance
     X = np.random.default_rng(20).standard_normal((33, 50))
     assert_array_equal(_Gram(X)(slice(0, 50), np.empty((50, 50))), sample_covariance(X))
+
+
+@pytest.mark.parametrize("p, K", [(1, 0), (5, 0), (5, 4), (200, 49), (1000, 99)])
+def test_gram_band_storage_is_the_band_of_the_sample_covariance(p, K):
+    # row j holds S[j, j - K .. j + K], exact zeros past the matrix edge
+    X = np.random.default_rng(p + K).standard_normal((33, p))
+    S = sample_covariance(X)
+    stored = _Gram(X).band(K)
+    assert stored.shape == (p, 2 * K + 1)
+    j, w = np.arange(p)[:, None], np.arange(2 * K + 1)[None, :]
+    column = j - K + w
+    inside = (column >= 0) & (column < p)
+    assert_allclose(stored[inside], S[np.broadcast_to(j, inside.shape)[inside], column[inside]],
+                    rtol=0, atol=1e-15 * np.abs(S).max())
+    assert np.all(stored[~inside] == 0)
+
+
+def test_narrow_operator_bands_read_no_rows_of_the_split_covariance():
+    # 2k + 1 <= p / 2 for every k: S1 comes from its band storage alone, and
+    # no row block of S1 or S2 is formed
+    from covband import selection
+
+    class Gram(_Gram):
+        def __call__(self, J, out):
+            raise AssertionError("read rows of a split covariance")
+
+    X = np.random.default_rng(25).standard_normal((30, 144))
+    expected = estimate_risk(X, k_grid=np.arange(36), N=2, norm="operator", seed=0).risk
+    with mock.patch.object(selection, "_Gram", Gram):
+        risk = estimate_risk(X, k_grid=np.arange(36), N=2, norm="operator", seed=0).risk
+    assert_array_equal(risk, expected)
 
 
 BLOCK = 4
@@ -605,22 +652,18 @@ def operator_band_case(p=200, n=40, seed=22):
     return X, ks, expected
 
 
-@pytest.mark.parametrize("group_bytes", [1, 2 * 8 * 200 * 99, None],
-                         ids=["one_per_group", "two_per_group", "default"])
-@pytest.mark.parametrize("block_bytes", [8 * 7 * 298, None], ids=["blocks_of_7_rows", "default"])
-def test_banded_operator_curve_across_groups_and_row_blocks(group_bytes, block_bytes):
-    # p = 200: bandwidths with 2k + 1 <= p / 2 take band storage, read in
-    # row blocks (the last one short), in lockstep groups of consecutive k;
-    # the rest take dense differences.  A bandwidth's value moves with its
-    # group only in the last bits: the band and low-rank products run batched.
+@pytest.mark.parametrize("group", [1, 2, None], ids=["one_per_group", "two_per_group", "default"])
+def test_banded_operator_curve_across_groups(group):
+    # p = 200: bandwidths with 2k + 1 <= p / 2 take the split's band storage,
+    # in lockstep groups of consecutive k; the rest take dense differences.
+    # A bandwidth's value moves with its group only in the last bits: the
+    # low-rank products run batched.
     from covband import selection
 
     X, ks, expected = operator_band_case()
-    patches = {"_LANCZOS_GROUP_BYTES": group_bytes, "_BAND_READ_BYTES": block_bytes}
     with contextlib.ExitStack() as stack:
-        for name, value in patches.items():
-            if value is not None:
-                stack.enter_context(mock.patch.object(selection, name, value))
+        if group is not None:
+            stack.enter_context(mock.patch.object(selection, "_LANCZOS_GROUP", group))
         risk = estimate_risk(X, k_grid=ks, N=1, norm="operator", seed=22).risk
     assert_allclose(risk, expected, rtol=1e-12, atol=0)
     assert risk[-1] == risk[-2]
@@ -649,18 +692,15 @@ def test_banded_operator_curve_falls_back_to_eigvalsh_one_bandwidth_at_a_time():
 
 
 def test_banded_operator_oracle_applies_the_dense_truth():
-    # oracle_k1's narrow bands: the sample's band storage read in row blocks,
-    # less the dense truth applied as one product per step (_Dense.apply)
-    from covband import selection
-
+    # oracle_k1's narrow bands: the sample's band storage, less the dense
+    # truth applied as one product per step (_Dense.apply)
     p = 200
     truth = build_covariance(CovarianceModel("ma1", 0.5), p)
     X = sample_gaussian(truth, 30, 23)
     ks = np.array([0, 1, 3, 8, 30, 70])
     S = sample_covariance(X)
     expected = [matrix_norm(band(S, k) - truth, "operator") for k in ks]
-    with mock.patch.object(selection, "_BAND_READ_BYTES", 8 * 9 * (p + 60)):
-        result = oracle_k1(X, truth, ks, norm="operator")
+    result = oracle_k1(X, truth, ks, norm="operator")
     assert_allclose(result.curve.risk, expected, rtol=1e-12, atol=0)
 
 

@@ -56,7 +56,7 @@ COMMANDS = [
     ("select-operator-p400", ["select", "--data", f"{INPUTS}/ar1_p400.csv", "--N", "10",
                               "--norm", "operator", "--k-max", "29", "--seed", "3",
                               "--out", "curve.csv"]),
-    # p = 1000, k <= 99: every lockstep group of narrow bands holds one band
+    # p = 1000, k <= 99: every bandwidth is narrow, seven lockstep groups
     ("select-operator-p1000", ["select", "--data", f"{INPUTS}/ma1_p1000.csv", "--norm",
                                "operator", "--k-max", "99", "--N", "2", "--seed", "3",
                                "--out", "curve.csv"]),
@@ -111,6 +111,10 @@ COMMANDS = [
     ("predict-baseline-equals-out", ["predict", "--counts", f"{INPUTS}/counts.csv",
                                      "--n-train", "45", "--split", "12", "--estimator", "banded",
                                      "--k", "3", "--out", "fc.csv", "--baseline-out", "fc.csv"]),
+    # the default grid k = 0..199 at p = 200: narrow bands in several lockstep
+    # groups, then dense differences
+    ("select-operator-default", ["select", "--data", f"{INPUTS}/ar1_p200.csv", "--norm",
+                                 "operator", "--N", "1", "--seed", "3", "--out", "curve.csv"]),
 ]
 
 
