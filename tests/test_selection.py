@@ -661,9 +661,8 @@ def test_banded_operator_curve_across_groups(group):
     from covband import selection
 
     X, ks, expected = operator_band_case()
-    with contextlib.ExitStack() as stack:
-        if group is not None:
-            stack.enter_context(mock.patch.object(selection, "_LANCZOS_GROUP", group))
+    with (contextlib.nullcontext() if group is None
+          else mock.patch.object(selection, "_LANCZOS_GROUP", group)):
         risk = estimate_risk(X, k_grid=ks, N=1, norm="operator", seed=22).risk
     assert_allclose(risk, expected, rtol=1e-12, atol=0)
     assert risk[-1] == risk[-2]
