@@ -639,34 +639,38 @@ def test_banded_operator_curve_below_the_lanczos_threshold_is_eigvalsh_bit_for_b
     assert_array_equal(curve.risk, expected / 2)
 
 
-def operator_band_case(p=200, n=40, seed=22):
+def operator_band_case(p=200, n=40, seed=22, n1=None):
     """AR(1) data, a grid with narrow and wide bands and bandwidths past p - 1,
-    and the eigvalsh loss of each bandwidth on one split (n1 = n // 3)."""
+    and the eigvalsh loss of each bandwidth on one split (n1 = n // 3 unless
+    given)."""
     from covband.simgen import substream
 
+    n1 = n // 3 if n1 is None else n1
     X = sample_gaussian(build_covariance(CovarianceModel("ar1", 0.6), p), n, seed)
     ks = np.array([0, 1, 2, 5, 9, 17, 33, 49, 50, 120, p - 1, p + 5])
     perm = substream(seed, 0).permutation(n)
-    S1, S2 = sample_covariance(X[perm[: n // 3]]), sample_covariance(X[perm[n // 3:]])
+    S1, S2 = sample_covariance(X[perm[:n1]]), sample_covariance(X[perm[n1:]])
     expected = [matrix_norm(band(S1, k) - S2, "operator") for k in ks]
     return X, ks, expected
 
 
 @pytest.mark.parametrize("group", [1, 2, None], ids=["one_per_group", "two_per_group", "default"])
-def test_banded_operator_curve_across_groups(group):
-    # p = 200: bandwidths with 2k + 1 <= p / 2 take the split's band storage,
-    # in lockstep groups of consecutive k; the rest take dense differences.
-    # A bandwidth's value moves with its group only in the last bits: the
-    # low-rank products run batched.
+@pytest.mark.parametrize("fit_rows", [7, None], ids=["blocks_of_7_rows", "default"])
+def test_banded_operator_curve_across_groups_and_row_blocks(group, fit_rows):
+    # p = 200: bandwidths with 2k + 1 <= p / 2 take the band storage built
+    # from the split's fit block of rows (7 rows, S1 of rank 6, or the
+    # default n // 3 = 13), in lockstep groups of consecutive k; the rest
+    # take dense differences.  A bandwidth's value moves with its group only
+    # in the last bits: the low-rank products run batched.
     from covband import selection
 
-    X, ks, expected = operator_band_case()
+    X, ks, expected = operator_band_case(n1=fit_rows)
     with (contextlib.nullcontext() if group is None
           else mock.patch.object(selection, "_LANCZOS_GROUP", group)):
-        risk = estimate_risk(X, k_grid=ks, N=1, norm="operator", seed=22).risk
+        risk = estimate_risk(X, k_grid=ks, N=1, n1=fit_rows, norm="operator", seed=22).risk
     assert_allclose(risk, expected, rtol=1e-12, atol=0)
     assert risk[-1] == risk[-2]
-    default = estimate_risk(X, k_grid=ks, N=1, norm="operator", seed=22).risk
+    default = estimate_risk(X, k_grid=ks, N=1, n1=fit_rows, norm="operator", seed=22).risk
     assert_allclose(risk, default, rtol=1e-14, atol=0)
 
 
